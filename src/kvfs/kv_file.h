@@ -59,9 +59,6 @@ class KvFileData {
   // Number of this file's pages currently resident in each tier.
   uint64_t PagesInTier(Tier tier) const;
 
-  // True if every page is GPU-resident (required before pred can use it).
-  bool FullyOnGpu() const { return PagesInTier(Tier::kHost) == 0; }
-
   // Observer of this file's page-reference count (for per-owner resource
   // accounting): called with +n / -n whenever pages_ grows or shrinks.
   void set_page_ref_observer(std::function<void(int64_t)> observer) {

@@ -19,6 +19,16 @@ constexpr uint64_t kTailSalt = 0x7a11aa55deadbeefULL;
 Distribution::Distribution(uint64_t state, const ModelConfig* config)
     : state_(state), config_(config) {
   assert(config != nullptr);
+}
+
+const Distribution::Table& Distribution::entries() const {
+  if (!table_) {
+    table_ = Build();
+  }
+  return *table_;
+}
+
+Distribution::Table Distribution::Build() const {
   const uint32_t vocab = config_->vocab_size;
   assert(vocab > kNumCandidates * 2u);
 
@@ -63,7 +73,8 @@ Distribution::Distribution(uint64_t state, const ModelConfig* config)
   }
 
   // Score by rank with model-specific jitter, then sort descending so that
-  // entries_[0] is the argmax for THIS model (family members may disagree).
+  // entries[0] is the argmax for THIS model (family members may disagree).
+  Table entries{};
   for (int j = 0; j < kNumCandidates; ++j) {
     double jitter = 0.0;
     if (config_->score_jitter > 0.0) {
@@ -71,11 +82,12 @@ Distribution::Distribution(uint64_t state, const ModelConfig* config)
                          (static_cast<uint64_t>(j) * 0x9e3779b97f4a7c15ULL));
       jitter = (static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5) * config_->score_jitter;
     }
-    entries_[static_cast<size_t>(j)] =
+    entries[static_cast<size_t>(j)] =
         Entry{tokens[static_cast<size_t>(j)], -kScoreDecay * j + jitter};
   }
-  std::stable_sort(entries_.begin(), entries_.end(),
+  std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) { return a.score > b.score; });
+  return entries;
 }
 
 double Distribution::CandidateWeight(double score, double temperature) const {
@@ -88,12 +100,13 @@ double Distribution::TailMass(double temperature) const {
   return tail_count * std::exp(kFloorScore / temperature);
 }
 
-TokenId Distribution::Argmax() const { return entries_[0].token; }
+TokenId Distribution::Argmax() const { return entries()[0].token; }
 
 double Distribution::Prob(TokenId token) const {
+  const Table& table = entries();
   double z = TailMass(1.0);
   double token_weight = std::exp(kFloorScore);  // Default: tail token.
-  for (const Entry& e : entries_) {
+  for (const Entry& e : table) {
     double w = CandidateWeight(e.score, 1.0);
     z += w;
     if (e.token == token) {
@@ -109,18 +122,19 @@ double Distribution::Prob(TokenId token) const {
 double Distribution::LogProb(TokenId token) const { return std::log(Prob(token)); }
 
 TokenId Distribution::Sample(double u, double temperature) const {
+  const Table& table = entries();
   assert(u >= 0.0 && u < 1.0);
   assert(temperature > 0.0);
   double weights[kNumCandidates];
   double z = TailMass(temperature);
   for (int j = 0; j < kNumCandidates; ++j) {
-    weights[j] = CandidateWeight(entries_[static_cast<size_t>(j)].score, temperature);
+    weights[j] = CandidateWeight(table[static_cast<size_t>(j)].score, temperature);
     z += weights[j];
   }
   double target = u * z;
   for (int j = 0; j < kNumCandidates; ++j) {
     if (target < weights[j]) {
-      return entries_[static_cast<size_t>(j)].token;
+      return table[static_cast<size_t>(j)].token;
     }
     target -= weights[j];
   }
@@ -132,7 +146,7 @@ TokenId Distribution::Sample(double u, double temperature) const {
     probe = Mix64(probe + 1);
     TokenId t = static_cast<TokenId>(probe % vocab);
     bool is_candidate = false;
-    for (const Entry& e : entries_) {
+    for (const Entry& e : table) {
       if (e.token == t) {
         is_candidate = true;
         break;
@@ -145,7 +159,8 @@ TokenId Distribution::Sample(double u, double temperature) const {
 }
 
 TokenId Distribution::GreedyMasked(const std::function<bool(TokenId)>& allowed) const {
-  for (const Entry& e : entries_) {
+  const Table& table = entries();
+  for (const Entry& e : table) {
     if (allowed(e.token)) {
       return e.token;
     }
@@ -164,10 +179,11 @@ TokenId Distribution::GreedyMasked(const std::function<bool(TokenId)>& allowed) 
 
 TokenId Distribution::SampleMasked(double u, double temperature,
                                    const std::function<bool(TokenId)>& allowed) const {
+  const Table& table = entries();
   double weights[kNumCandidates];
   double z = 0.0;
   for (int j = 0; j < kNumCandidates; ++j) {
-    const Entry& e = entries_[static_cast<size_t>(j)];
+    const Entry& e = table[static_cast<size_t>(j)];
     weights[j] = allowed(e.token) ? CandidateWeight(e.score, temperature) : 0.0;
     z += weights[j];
   }
@@ -177,7 +193,7 @@ TokenId Distribution::SampleMasked(double u, double temperature,
   double target = u * z;
   for (int j = 0; j < kNumCandidates; ++j) {
     if (weights[j] > 0.0 && target < weights[j]) {
-      return entries_[static_cast<size_t>(j)].token;
+      return table[static_cast<size_t>(j)].token;
     }
     target -= weights[j];
   }
@@ -185,26 +201,28 @@ TokenId Distribution::SampleMasked(double u, double temperature,
 }
 
 std::vector<TokenId> Distribution::TopCandidates() const {
+  const Table& table = entries();
   std::vector<TokenId> out;
   out.reserve(kNumCandidates);
-  for (const Entry& e : entries_) {
+  for (const Entry& e : table) {
     out.push_back(e.token);
   }
   return out;
 }
 
 std::vector<double> Distribution::Dense() const {
+  const Table& table = entries();
   const uint32_t vocab = config_->vocab_size;
   double z = TailMass(1.0);
   double floor_w = std::exp(kFloorScore);
   double weights[kNumCandidates];
   for (int j = 0; j < kNumCandidates; ++j) {
-    weights[j] = CandidateWeight(entries_[static_cast<size_t>(j)].score, 1.0);
+    weights[j] = CandidateWeight(table[static_cast<size_t>(j)].score, 1.0);
     z += weights[j];
   }
   std::vector<double> probs(vocab, floor_w / z);
   for (int j = 0; j < kNumCandidates; ++j) {
-    probs[static_cast<size_t>(entries_[static_cast<size_t>(j)].token)] = weights[j] / z;
+    probs[static_cast<size_t>(table[static_cast<size_t>(j)].token)] = weights[j] / z;
   }
   return probs;
 }

@@ -11,6 +11,12 @@
 // and Argmax() exact and O(K) while Dense() stays available (O(vocab)) for
 // tests and constrained decoding over small vocabularies.
 //
+// The candidate table is materialized on the first query and memoized in the
+// object, so constructing a distribution nobody reads (a prefill token's) is
+// O(1): a pred returns one per input token but callers mostly read the last.
+// Copies share nothing; each builds or carries its own table. Not
+// thread-safe, like the rest of the single-threaded simulator.
+//
 // The same state always yields the same distribution — the property that
 // makes KV-cache reuse verifiable end to end.
 #ifndef SRC_MODEL_DISTRIBUTION_H_
@@ -19,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/model/model_config.h"
@@ -32,7 +39,7 @@ class Distribution {
   static constexpr double kScoreDecay = 0.35;
   static constexpr double kFloorScore = -18.0;
 
-  // `config` must outlive the distribution.
+  // `config` must outlive the distribution. O(1): stores only its inputs.
   Distribution(uint64_t state, const ModelConfig* config);
 
   uint64_t state() const { return state_; }
@@ -73,12 +80,16 @@ class Distribution {
     double score;  // Pre-temperature score.
   };
 
+  using Table = std::array<Entry, kNumCandidates>;
+
+  const Table& entries() const;  // Builds the table on first use.
+  Table Build() const;
   double TailMass(double temperature) const;  // Total non-candidate weight.
   double CandidateWeight(double score, double temperature) const;
 
   uint64_t state_;
   const ModelConfig* config_;
-  std::array<Entry, kNumCandidates> entries_;  // Sorted by descending score.
+  mutable std::optional<Table> table_;  // Sorted by descending score.
 };
 
 }  // namespace symphony

@@ -394,8 +394,9 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
       ++stats_.prefills_chunked;
       request.chunk_dists = std::make_shared<std::vector<Distribution>>();
     }
-    request.chunk_dists->insert(request.chunk_dists->end(), dists.begin(),
-                                dists.end());
+    request.chunk_dists->insert(request.chunk_dists->end(),
+                                std::make_move_iterator(dists.begin()),
+                                std::make_move_iterator(dists.end()));
     request.chunk_done += take;
     request.tokens.erase(request.tokens.begin(),
                          request.tokens.begin() + static_cast<ptrdiff_t>(take));

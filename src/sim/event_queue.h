@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -36,8 +35,8 @@ class Simulator {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // Best-effort cancellation: the event is skipped when dequeued. Returns
-  // true if the event was still pending.
+  // The event is skipped when dequeued. Returns true if it was still
+  // pending; false (and no effect) if it already ran or was cancelled.
   bool Cancel(EventId id);
 
   // Dispatches events until the queue is empty. Returns number dispatched.
@@ -50,10 +49,14 @@ class Simulator {
   // Dispatches a single event if available. Returns false if queue empty.
   bool Step();
 
+  // Pending means scheduled, not yet dispatched and not cancelled.
   bool empty() const { return pending_count_ == 0; }
   size_t pending_count() const { return pending_count_; }
 
  private:
+  // An EventId packs (generation << 32 | slot). A slot is held from
+  // ScheduleAt until its event leaves the queue; its generation moves on
+  // when the event is dispatched or cancelled, so a stale id never matches.
   struct Event {
     SimTime when;
     uint64_t seq;  // Tie-break: FIFO among same-time events.
@@ -69,14 +72,16 @@ class Simulator {
     }
   };
 
-  bool Dispatch(Event& event);
+  // Pops the top event; runs it unless it was cancelled. Returns whether it
+  // ran.
+  bool PopAndDispatch();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   size_t pending_count_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<uint32_t> generation_;  // Current generation, by slot.
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace symphony

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -229,6 +230,118 @@ TEST_F(DistributionTest, EosAppearsWithConfiguredBias) {
     s = model.Advance(s, static_cast<TokenId>(260 + (i % 40)), i);
   }
   EXPECT_NEAR(static_cast<double>(eos_top) / kSteps, 0.2, 0.05);
+}
+
+// Every query of a Distribution, its results flattened to doubles so that
+// equality is exact. Running one query first on an object decides which
+// query builds its candidate table.
+using DistQuery = std::function<std::vector<double>(const Distribution&)>;
+
+std::vector<DistQuery> AllDistQueries() {
+  auto every_third = [](TokenId t) { return t % 3 == 0; };
+  auto only_one = [](TokenId t) { return t == 7; };
+  auto tokens = [](const std::vector<TokenId>& ts) {
+    return std::vector<double>(ts.begin(), ts.end());
+  };
+  return {
+      [](const Distribution& d) {
+        return std::vector<double>{static_cast<double>(d.Argmax())};
+      },
+      [](const Distribution& d) {
+        TokenId top = d.Argmax();
+        return std::vector<double>{d.Prob(top), d.Prob(5), d.Prob(-1)};
+      },
+      [](const Distribution& d) {
+        return std::vector<double>{d.LogProb(d.TopCandidates()[3]), d.LogProb(11)};
+      },
+      [](const Distribution& d) {
+        std::vector<double> out;
+        for (double u : {0.0, 0.1, 0.5, 0.9, 0.999999}) {
+          for (double temperature : {0.3, 1.0, 2.5}) {
+            out.push_back(d.Sample(u, temperature));
+          }
+        }
+        return out;
+      },
+      [=](const Distribution& d) {
+        return std::vector<double>{
+            static_cast<double>(d.GreedyMasked(every_third)),
+            static_cast<double>(d.GreedyMasked(only_one))};
+      },
+      [=](const Distribution& d) {
+        std::vector<double> out;
+        for (double u : {0.0, 0.4, 0.95}) {
+          out.push_back(d.SampleMasked(u, 0.8, every_third));
+          out.push_back(d.SampleMasked(u, 1.0, only_one));
+        }
+        return out;
+      },
+      [=](const Distribution& d) { return tokens(d.TopCandidates()); },
+      [](const Distribution& d) { return d.Dense(); },
+  };
+}
+
+TEST(LazyDistributionTest, QueriesAgreeOnFreshAndCopiedObjects) {
+  std::vector<DistQuery> queries = AllDistQueries();
+  for (const ModelConfig& config :
+       {ModelConfig::Llama13B(), ModelConfig::Llama1BDraft()}) {
+    Model model(config);
+    HiddenState s = model.InitialState();
+    for (int step = 0; step < 12; ++step) {
+      // A fully built reference: every query has already run on it.
+      Distribution warm = model.Predict(s);
+      for (const DistQuery& q : queries) {
+        (void)q(warm);
+      }
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        SCOPED_TRACE(testing::Message() << config.name << " step " << step
+                                        << " query " << qi);
+        const DistQuery& q = queries[qi];
+        Distribution fresh = model.Predict(s);
+        Distribution copied_before = fresh;
+        std::vector<double> expected = q(fresh);
+        Distribution copied_after = fresh;
+        EXPECT_EQ(q(fresh), expected);
+        EXPECT_EQ(q(copied_before), expected);
+        EXPECT_EQ(q(copied_after), expected);
+        EXPECT_EQ(q(warm), expected);
+      }
+      s = model.Advance(s, static_cast<TokenId>(260 + step * 37), step);
+    }
+  }
+}
+
+TEST(LazyDistributionTest, CandidateTablesMatchGolden) {
+  // Fixed candidate tables: any change to candidate drawing, EOS promotion,
+  // jitter or ordering breaks them.
+  struct Golden {
+    uint64_t state;
+    std::vector<TokenId> target;
+    std::vector<TokenId> draft;
+  };
+  const std::vector<Golden> goldens = {
+      {1ULL,
+       {26916, 1542, 6617, 11547, 28022, 4634, 23645, 18162, 18177, 21883,
+        11635, 5619, 10633, 8025, 14569, 4051},
+       {26916, 6617, 1542, 11547, 4634, 28022, 23645, 18162, 21883, 18177,
+        5619, 11635, 10633, 8025, 14569, 4051}},
+      {0xdeadbeefcafef00dULL,
+       {29, 8816, 8457, 21283, 7010, 15654, 11147, 21113, 25776, 15037,
+        28227, 21640, 11035, 168, 16259, 7747},
+       {29, 8816, 8457, 21283, 7010, 11147, 15654, 21113, 25776, 15037,
+        28227, 21640, 11035, 168, 16259, 7747}},
+      {0x0123456789abcdefULL,
+       {10591, 2096, 4510, 26517, 3590, 22891, 14926, 17650, 20804, 18576,
+        21206, 24987, 5773, 21589, 25112, 17558},
+       {10591, 2096, 4510, 26517, 14926, 22891, 3590, 17650, 20804, 21206,
+        18576, 24987, 5773, 21589, 25112, 17558}},
+  };
+  Model target(ModelConfig::Llama13B());
+  Model draft(ModelConfig::Llama1BDraft());
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(target.Predict(g.state).TopCandidates(), g.target) << g.state;
+    EXPECT_EQ(draft.Predict(g.state).TopCandidates(), g.draft) << g.state;
+  }
 }
 
 class CostModelTest : public ::testing::Test {

@@ -70,6 +70,34 @@ TEST_F(SchedTest, PredReturnsOneDistPerToken) {
   EXPECT_EQ(dist_count, 3u);
 }
 
+TEST_F(SchedTest, LongPredReturnsOneLazyDistPerTokenInStateOrder) {
+  // Prefill distributions are built lazily; their states must still be the
+  // model's, token by token, and a queried one must match direct Predict.
+  std::vector<TokenId> prompt;
+  for (int i = 0; i < 3000; ++i) {
+    prompt.push_back(static_cast<TokenId>(260 + (i * 7) % 200));
+  }
+  std::vector<Distribution> got;
+  runtime_.Launch("long", [&](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    StatusOr<std::vector<Distribution>> dists = co_await ctx.pred(kv, prompt);
+    if (dists.ok()) {
+      got = std::move(*dists);
+    }
+    co_return;
+  });
+  sim_.Run();
+  std::vector<HiddenState> states =
+      model_.AdvanceSeq(model_.InitialState(), prompt, 0);
+  ASSERT_EQ(got.size(), 3000u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].state(), states[i]) << i;
+  }
+  EXPECT_EQ(got.back().TopCandidates(),
+            model_.Predict(states.back()).TopCandidates());
+  EXPECT_EQ(got[1234].Dense(), model_.Predict(states[1234]).Dense());
+}
+
 TEST_F(SchedTest, PredMatchesDirectModelComputation) {
   // Greedy decoding through the full serving stack must equal greedy
   // decoding straight on the Model.

@@ -76,6 +76,58 @@ TEST(SimulatorTest, CancelSkipsEvent) {
   EXPECT_FALSE(ran);
 }
 
+TEST(SimulatorTest, CancelAfterDispatchReturnsFalse) {
+  Simulator sim;
+  int fired = 0;
+  Simulator::EventId id = sim.ScheduleAt(Millis(1), [&] { ++fired; });
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_FALSE(sim.Cancel(id));
+  // The stale id must not reach the event now reusing its slot.
+  Simulator::EventId next = sim.ScheduleAt(Millis(2), [&] { ++fired; });
+  EXPECT_NE(next, id);
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorTest, CancelFromInsideOwnEventReturnsFalse) {
+  Simulator sim;
+  Simulator::EventId id = 0;
+  bool cancelled = true;
+  id = sim.ScheduleAt(Millis(1), [&] { cancelled = sim.Cancel(id); });
+  sim.Run();
+  EXPECT_FALSE(cancelled);
+}
+
+TEST(SimulatorTest, DoubleCancelReturnsFalse) {
+  Simulator sim;
+  Simulator::EventId id = sim.ScheduleAt(Millis(5), [] {});
+  EXPECT_TRUE(sim.Cancel(id));
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_FALSE(sim.Cancel(0));
+  EXPECT_FALSE(sim.Cancel(id + 12345));
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_FALSE(sim.Cancel(id));
+}
+
+TEST(SimulatorTest, CancelledEventsAreNotPending) {
+  Simulator sim;
+  int fired = 0;
+  Simulator::EventId a = sim.ScheduleAt(Millis(1), [&] { ++fired; });
+  Simulator::EventId b = sim.ScheduleAt(Millis(2), [&] { ++fired; });
+  EXPECT_EQ(sim.pending_count(), 2u);
+  EXPECT_TRUE(sim.Cancel(a));
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_FALSE(sim.empty());
+  EXPECT_TRUE(sim.Cancel(b));
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
