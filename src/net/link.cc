@@ -5,15 +5,6 @@
 
 namespace symphony {
 
-Link::Link(Simulator* sim, const CostModel* cost, TraceRecorder* trace,
-           std::string name)
-    : sim_(sim), trace_(trace), name_(std::move(name)) {
-  assert(sim != nullptr);
-  assert(cost != nullptr);
-  bandwidth_ = cost->hardware().interconnect_bandwidth;
-  latency_ = cost->hardware().interconnect_latency;
-}
-
 Link::Link(Simulator* sim, double bandwidth, SimDuration latency,
            TraceRecorder* trace, std::string name)
     : sim_(sim),

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/model/cost_model.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
@@ -39,12 +38,9 @@ struct LinkStats {
 
 class Link {
  public:
-  // Uniform link: bandwidth/latency from the cost model's
-  // HardwareConfig::interconnect_*. `cost` is required; `trace` is optional.
-  Link(Simulator* sim, const CostModel* cost, TraceRecorder* trace,
-       std::string name);
-
-  // Per-link parameters (topology edge/uplink links).
+  // `trace` is optional. The topology passes each link's parameters: the
+  // cost model's HardwareConfig::interconnect_* for the ideal-switch mesh,
+  // the edge's own values for preset edge/uplink links.
   Link(Simulator* sim, double bandwidth, SimDuration latency,
        TraceRecorder* trace, std::string name);
 

@@ -131,7 +131,9 @@ Link& NetworkTopology::LinkFor(size_t from, size_t to) {
   std::unique_ptr<Link> link;
   if (adj_.empty()) {
     // Ideal-switch mesh: the uniform cost-model interconnect.
-    link = std::make_unique<Link>(sim_, cost_, trace_, std::move(name));
+    link = std::make_unique<Link>(
+        sim_, cost_->hardware().interconnect_bandwidth,
+        cost_->hardware().interconnect_latency, trace_, std::move(name));
   } else {
     const Edge* edge = EdgeBetween(from, to);
     assert(edge != nullptr && "no physical edge between route hops");

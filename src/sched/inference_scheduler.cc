@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -151,15 +152,15 @@ void InferenceScheduler::RecordQueueWait(const PredRequest& request) {
   }
 }
 
-std::vector<WorkItem> InferenceScheduler::ProspectiveItems() const {
-  std::vector<WorkItem> items;
-  items.reserve(std::min(queue_.size(), options_.max_batch_requests));
-  uint64_t total_tokens = 0;
+template <typename Add>
+void InferenceScheduler::ForEachPick(std::vector<char>& picked,
+                                     Add add) const {
   std::unordered_map<LipId, uint32_t> taken;
-  std::vector<char> picked(queue_.size(), 0);
-  size_t left = queue_.size();
+  size_t left = picked.size();
+  size_t added = 0;
+  uint64_t total_tokens = 0;
   bool decode_phase = options_.decode_priority;
-  while (left > 0 && items.size() < options_.max_batch_requests &&
+  while (left > 0 && added < options_.max_batch_requests &&
          total_tokens < options_.max_batch_tokens) {
     size_t pick = PickNext(taken, picked, decode_phase);
     if (pick == kNoPick) {
@@ -171,16 +172,29 @@ std::vector<WorkItem> InferenceScheduler::ProspectiveItems() const {
     }
     picked[pick] = 1;
     --left;
-    const PredRequest& request = queue_[pick];
-    ++taken[request.lip];
-    uint64_t take = ChunkTake(request);
-    StatusOr<uint64_t> length = kvfs_->Length(request.kv);
-    items.push_back(WorkItem{take, length.ok() ? *length : 0});
-    total_tokens += take;
+    ++taken[queue_[pick].lip];
+    std::optional<uint64_t> take = add(pick);
+    if (!take.has_value()) {
+      continue;
+    }
+    ++added;
+    total_tokens += *take;
     if (!decode_phase && options_.decode_priority) {
       break;  // Decode-priority batches carry at most one prefill chunk.
     }
   }
+}
+
+std::vector<WorkItem> InferenceScheduler::ProspectiveItems() const {
+  std::vector<WorkItem> items;
+  items.reserve(std::min(queue_.size(), options_.max_batch_requests));
+  std::vector<char> picked(queue_.size(), 0);
+  ForEachPick(picked, [&](size_t i) -> std::optional<uint64_t> {
+    uint64_t take = ChunkTake(queue_[i]);
+    StatusOr<uint64_t> length = kvfs_->Length(queue_[i].kv);
+    items.push_back(WorkItem{take, length.ok() ? *length : 0});
+    return take;
+  });
   return items;
 }
 
@@ -191,36 +205,19 @@ void InferenceScheduler::LaunchBatch() {
   };
   auto batch = std::make_shared<std::vector<BatchEntry>>();
   std::vector<WorkItem> items;
-  uint64_t total_tokens = 0;
-  std::unordered_map<LipId, uint32_t> taken;
   // Picked slots are masked and compacted after the loop (completion
   // callbacks never reenter the scheduler synchronously, but a mid-loop
   // push_back past the mask would be kept untouched).
   std::vector<char> picked(queue_.size(), 0);
-  size_t left = queue_.size();
-  bool decode_phase = options_.decode_priority;
-
-  while (left > 0 && batch->size() < options_.max_batch_requests &&
-         total_tokens < options_.max_batch_tokens) {
-    size_t pick = PickNext(taken, picked, decode_phase);
-    if (pick == kNoPick) {
-      if (decode_phase) {
-        decode_phase = false;  // Decodes exhausted; top up with one prefill.
-        continue;
-      }
-      break;
-    }
-    picked[pick] = 1;
-    --left;
-    bool decode = IsDecode(queue_[pick]);
-    PredRequest request = std::move(queue_[pick]);
-    ++taken[request.lip];
+  ForEachPick(picked, [&](size_t i) -> std::optional<uint64_t> {
+    bool decode = IsDecode(queue_[i]);
+    PredRequest request = std::move(queue_[i]);
     StatusOr<uint64_t> context = Validate(request);
     if (!context.ok()) {
       ++stats_.failed;
       RecordQueueWait(request);
       request.complete(PredResult{context.status(), {}});
-      continue;
+      return std::nullopt;
     }
     // Bring the file fully on-device; the implied PCIe traffic is charged to
     // this batch below.
@@ -233,7 +230,7 @@ void InferenceScheduler::LaunchBatch() {
         RecordQueueWait(request);
         request.complete(PredResult{restore, {}});
       }
-      continue;
+      return std::nullopt;
     }
     RecordQueueWait(request);
     // Tokens a split prefill appended in earlier chunks are fresh compute,
@@ -250,12 +247,9 @@ void InferenceScheduler::LaunchBatch() {
       stats_.prefill_tokens_batched += take;
     }
     items.push_back(WorkItem{take, *context});
-    total_tokens += take;
     batch->push_back(BatchEntry{std::move(request), take});
-    if (!decode_phase && options_.decode_priority) {
-      break;  // Decode-priority batches carry at most one prefill chunk.
-    }
-  }
+    return take;
+  });
 
   // Compact the queue: drop picked slots, keep everything else (including
   // entries appended past the mask while completing failures above).

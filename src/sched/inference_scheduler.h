@@ -137,9 +137,14 @@ class InferenceScheduler : public PredService {
   // batch), optionally restricted to decode-sized requests. kNoPick if none.
   size_t PickNext(const std::unordered_map<LipId, uint32_t>& taken,
                   const std::vector<char>& picked, bool decode_only) const;
-  // Simulates LaunchBatch's pick loop without side effects so the policy's
-  // est_batch_time describes the batch that would actually launch (pick
-  // order, decode-priority packing, and chunk caps included).
+  // The batch pick loop: picks un-picked requests (marking `picked`) under
+  // the discipline and decode-priority packing until the request/token caps
+  // fill. `add(index)` takes the request and returns its new tokens, or
+  // nullopt when it drops out (failed validation or restore).
+  template <typename Add>
+  void ForEachPick(std::vector<char>& picked, Add add) const;
+  // Runs the pick loop without side effects so the policy's est_batch_time
+  // describes the batch that would actually launch.
   std::vector<WorkItem> ProspectiveItems() const;
   bool IsDecode(const PredRequest& request) const;
   // New tokens this request would contribute to the next batch (its chunk).

@@ -2,30 +2,44 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <tuple>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace symphony {
+namespace {
+
+// Live LIPs and replica count over the placeable entries of PlaceableLoads().
+struct LoadTotals {
+  size_t lips = 0;
+  size_t placeable = 0;
+};
+
+LoadTotals Totals(const std::vector<size_t>& loads) {
+  LoadTotals totals;
+  for (size_t load : loads) {
+    if (load != SIZE_MAX) {
+      totals.lips += load;
+      ++totals.placeable;
+    }
+  }
+  return totals;
+}
+
+}  // namespace
 
 SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
     : sim_(sim), options_(std::move(options)) {
   assert(sim != nullptr);
   assert(options_.replicas > 0);
-  replicas_.reserve(options_.replicas);
+  slots_.reserve(options_.replicas);
   for (size_t i = 0; i < options_.replicas; ++i) {
-    replicas_.push_back(BuildReplica(i));
+    slots_.push_back(Slot{BuildReplica(i), i < options_.roles.size()
+                                               ? options_.roles[i]
+                                               : ReplicaRole::kUnified});
   }
-  roles_ = options_.roles;
-  roles_.resize(options_.replicas, ReplicaRole::kUnified);
-  launched_per_replica_.assign(options_.replicas, 0);
-  dead_.assign(options_.replicas, false);
-  draining_.assign(options_.replicas, false);
-  fenced_.assign(options_.replicas, false);
-  crashed_.assign(options_.replicas, false);
-  retired_.assign(options_.replicas, false);
-  crash_heal_at_.assign(options_.replicas, -1);
   cost_model_ = std::make_unique<CostModel>(options_.server.model,
                                             options_.server.hardware);
   // ONE topology instance routes every cross-replica byte: IPC, journal
@@ -46,22 +60,16 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
   fabric_ = std::make_unique<IpcFabric>(
       sim_, cost_model_.get(), options_.server.fault_plan,
       options_.server.trace, options_.ipc, topology_.get());
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    fabric_->AttachReplica(i, &replicas_[i]->runtime());
-    replicas_[i]->runtime().set_channel_fabric(fabric_.get(), i);
-    // Credit backpressure feeds admission: parked senders on a replica
-    // inflate its projected queue delay, steering Submit's reroute tier
-    // toward less-congested replicas.
-    replicas_[i]->set_backpressure_hook(
-        [fabric = fabric_.get(), i] { return fabric->BackpressureDelay(i); });
-    InstallDisaggHook(i);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    fabric_->AttachReplica(i, &slots_[i].server->runtime());
+    WireReplica(i);
   }
   // Arm the fault plan's replica-kill schedule. Kills route through the
   // normal KillReplica path, so with recovery enabled the victims fail over.
   if (options_.server.fault_plan != nullptr) {
     for (const auto& [replica, at] : options_.server.fault_plan->replica_kills()) {
       sim_->ScheduleAt(at, [this, replica = replica] {
-        if (replica < replicas_.size() && !dead_[replica]) {
+        if (replica < slots_.size() && !slots_[replica].dead) {
           (void)KillReplica(replica);
         }
       });
@@ -103,12 +111,38 @@ std::unique_ptr<SymphonyServer> SymphonyCluster::BuildReplica(
   return server;
 }
 
+void SymphonyCluster::WireReplica(size_t index) {
+  SymphonyServer& server = *slots_[index].server;
+  server.runtime().set_channel_fabric(fabric_.get(), index);
+  // Credit backpressure feeds admission: parked senders on a replica
+  // inflate its projected queue delay, steering Submit's reroute tier
+  // toward less-congested replicas.
+  server.set_backpressure_hook([fabric = fabric_.get(), index] {
+    return fabric->BackpressureDelay(index);
+  });
+  InstallDisaggHook(index);
+}
+
+std::vector<uint64_t> SymphonyCluster::HostedLips(size_t index) const {
+  const LipRuntime& runtime = slots_[index].server->runtime();
+  std::vector<uint64_t> hosted;
+  for (const auto& [uid, rec] : records_) {
+    // In-flight records still name their old replica, but their journal is
+    // already on its way elsewhere (StartReplay re-targets if needed).
+    if (rec.replica == index && !rec.done && !rec.in_flight &&
+        !runtime.LipDone(rec.lip)) {
+      hosted.push_back(uid);
+    }
+  }
+  std::sort(hosted.begin(), hosted.end());
+  return hosted;
+}
+
 std::vector<uint64_t> SymphonyCluster::StrandedLips() const {
   std::vector<uint64_t> stranded;
-  for (const auto& entry : records_) {
-    const LipRecord& rec = entry.second;
-    if (!rec.done && !rec.in_flight && dead_[rec.replica]) {
-      stranded.push_back(rec.uid);
+  for (const auto& [uid, rec] : records_) {
+    if (!rec.done && !rec.in_flight && slots_[rec.replica].dead) {
+      stranded.push_back(uid);
     }
   }
   std::sort(stranded.begin(), stranded.end());
@@ -116,8 +150,8 @@ std::vector<uint64_t> SymphonyCluster::StrandedLips() const {
 }
 
 bool SymphonyCluster::Placeable(size_t index) const {
-  return !dead_[index] && !draining_[index] &&
-         !replicas_[index]->runtime().halted();
+  return !slots_[index].dead && !slots_[index].draining &&
+         !slots_[index].server->runtime().halted();
 }
 
 bool SymphonyCluster::Avoided(size_t index) const {
@@ -125,86 +159,77 @@ bool SymphonyCluster::Avoided(size_t index) const {
          ctrl_->Health(index) == ReplicaHealth::kSuspected;
 }
 
+size_t SymphonyCluster::Load(size_t index) const {
+  return slots_[index].server->runtime().live_lips();
+}
+
+std::vector<size_t> SymphonyCluster::PlaceableLoads() const {
+  std::vector<size_t> loads(slots_.size(), SIZE_MAX);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (Placeable(i)) {
+      loads[i] = Load(i);
+    }
+  }
+  return loads;
+}
+
 ReplicaRole SymphonyCluster::RoleOf(size_t index) const {
-  return index < roles_.size() ? roles_[index] : ReplicaRole::kUnified;
+  return index < slots_.size() ? slots_[index].role : ReplicaRole::kUnified;
 }
 
 bool SymphonyCluster::InServePool(size_t index) const {
   return RoleOf(index) != ReplicaRole::kPrefill;
 }
 
-bool SymphonyCluster::HasPrefillPool() const {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (RoleOf(i) == ReplicaRole::kPrefill) {
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t SymphonyCluster::LeastLoadedPrefill() const {
+template <typename Rank>
+size_t SymphonyCluster::Pick(Rank rank) const {
   size_t best = kNoReplica;
-  size_t best_load = SIZE_MAX;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (RoleOf(i) != ReplicaRole::kPrefill || !Placeable(i) || Avoided(i)) {
-      continue;
-    }
-    size_t load = replicas_[i]->runtime().live_lips();
-    if (load < best_load) {
+  decltype(rank(size_t{0})) best_rank;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    auto r = rank(i);
+    if (r.has_value() && (!best_rank.has_value() || *r < *best_rank)) {
       best = i;
-      best_load = load;
+      best_rank = std::move(r);
     }
   }
   return best;
 }
 
-size_t SymphonyCluster::LeastLoaded() const {
-  // Pool pass 0 considers only serve-pool (decode/unified) replicas, so a
-  // decode stream or failover never lands behind a prefill replica's giant
-  // prefills; prefill replicas are better than nothing when the whole serve
-  // pool is down (pass 1). Within a pool, two passes: suspected replicas
-  // (control-plane detector) lose placements to healthy ones, but remain
-  // better than nothing when all else is down. A role-less cluster puts
-  // every replica in the serve pool, preserving the legacy pick exactly.
-  for (int pool = 0; pool < 2; ++pool) {
-    for (int pass = 0; pass < 2; ++pass) {
-      size_t best = replicas_.size();
-      size_t best_load = SIZE_MAX;
-      for (size_t i = 0; i < replicas_.size(); ++i) {
-        if (!Placeable(i) || (pool == 0 && !InServePool(i)) ||
-            (pass == 0 && Avoided(i))) {
-          continue;
-        }
-        size_t load = replicas_[i]->runtime().live_lips();
-        if (load < best_load) {
-          best = i;
-          best_load = load;
-        }
-      }
-      if (best < replicas_.size()) {
-        return best;
-      }
-    }
+std::optional<std::tuple<bool, bool, size_t>> SymphonyCluster::RouteRank(
+    size_t index, size_t order) const {
+  // Serve-pool (decode/unified) replicas first, so a decode stream or
+  // failover never lands behind a prefill replica's giant prefills; prefill
+  // replicas are better than nothing when the whole serve pool is down.
+  // Within a pool, replicas the control plane suspects lose to healthy ones
+  // but remain better than nothing. A role-less, detector-less cluster
+  // ranks by `order` alone.
+  if (!Placeable(index)) {
+    return std::nullopt;
   }
-  assert(false && "no live replica");
-  return 0;
+  return std::tuple{!InServePool(index), Avoided(index), order};
+}
+
+size_t SymphonyCluster::LeastLoaded() const {
+  return Pick([this](size_t i) { return RouteRank(i, Load(i)); });
 }
 
 size_t SymphonyCluster::FirstLiveFrom(size_t preferred) const {
-  // Same pool preference as LeastLoaded: serve-pool replicas first.
-  for (int pool = 0; pool < 2; ++pool) {
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t probe = 0; probe < replicas_.size(); ++probe) {
-        size_t i = (preferred + probe) % replicas_.size();
-        if (Placeable(i) && (pool == 1 || InServePool(i)) &&
-            (pass == 1 || !Avoided(i))) {
-          return i;
-        }
-      }
+  size_t n = slots_.size();
+  return Pick([&](size_t i) { return RouteRank(i, (i + n - preferred) % n); });
+}
+
+size_t SymphonyCluster::ClosestLeastPlanned(const std::vector<size_t>& planned,
+                                            size_t from) const {
+  // Equal planned load breaks toward the replica closest to `from` (an
+  // intra-rack move ships its journal without crossing the uplink); the
+  // uniform single-switch topology keeps the lowest-index pick.
+  using Rank = std::optional<std::pair<size_t, SimDuration>>;
+  return Pick([&](size_t i) -> Rank {
+    if (planned[i] == SIZE_MAX) {
+      return std::nullopt;
     }
-  }
-  assert(false && "no live replica");
-  return 0;
+    return std::pair{planned[i], topology_->Distance(from, i)};
+  });
 }
 
 size_t SymphonyCluster::RouteFor(const std::string& affinity_key) const {
@@ -213,64 +238,68 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key) const {
 
 size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
                                  uint64_t prefill_hint_tokens) const {
-  // A fresh launch that will prefill a large context goes to the prefill
-  // pool (least-loaded placeable prefill replica). Everything else — decode
-  // streams, small jobs, hint-less launches — routes through the normal
-  // policy, which avoids prefill replicas (see LeastLoaded/FirstLiveFrom).
+  // A fresh launch that will prefill a large context goes to the least
+  // loaded healthy prefill replica. Everything else — decode streams, small
+  // jobs, hint-less launches — routes through the normal policy, which
+  // avoids prefill replicas (see LeastLoaded/FirstLiveFrom).
   if (prefill_hint_tokens >= options_.disagg_min_prefill_tokens) {
-    size_t pick = LeastLoadedPrefill();
+    size_t pick = Pick([this](size_t i) -> std::optional<size_t> {
+      if (RoleOf(i) != ReplicaRole::kPrefill || !Placeable(i) || Avoided(i)) {
+        return std::nullopt;
+      }
+      return Load(i);
+    });
     if (pick != kNoReplica) {
-      ++disagg_prefill_routes_;
+      ++counters_.disagg_prefill_routes;
       return pick;
     }
   }
+  size_t n = slots_.size();
+  size_t pick = kNoReplica;
   switch (options_.routing) {
-    case RoutingPolicy::kRoundRobin: {
-      size_t replica = FirstLiveFrom(next_round_robin_);
-      next_round_robin_ = (replica + 1) % replicas_.size();
-      return replica;
-    }
+    case RoutingPolicy::kRoundRobin:
+      pick = FirstLiveFrom(next_round_robin_);
+      break;
     case RoutingPolicy::kLeastLoaded:
-      return LeastLoaded();
+      pick = LeastLoaded();
+      break;
     case RoutingPolicy::kCacheAffinity:
+    case RoutingPolicy::kAffinityBounded:
       if (affinity_key.empty()) {
-        return LeastLoaded();
+        pick = LeastLoaded();
+        break;
       }
-      return FirstLiveFrom(
-          static_cast<size_t>(Fnv1a(affinity_key) % replicas_.size()));
-    case RoutingPolicy::kAffinityBounded: {
-      if (affinity_key.empty()) {
-        return LeastLoaded();
-      }
-      size_t preferred = FirstLiveFrom(
-          static_cast<size_t>(Fnv1a(affinity_key) % replicas_.size()));
-      size_t total_live = 0;
-      size_t live_replicas = 0;
-      for (size_t i = 0; i < replicas_.size(); ++i) {
-        if (!Placeable(i)) {
-          continue;
+      pick = FirstLiveFrom(static_cast<size_t>(Fnv1a(affinity_key) % n));
+      if (options_.routing == RoutingPolicy::kAffinityBounded &&
+          pick != kNoReplica) {
+        LoadTotals totals = Totals(PlaceableLoads());
+        double average = static_cast<double>(totals.lips + 1) /
+                         static_cast<double>(totals.placeable);
+        if (static_cast<double>(Load(pick) + 1) >
+            options_.load_factor * average) {
+          // Hot key: the preferred replica is over its bound. The overflow
+          // is both a routing decision and a load signal (see
+          // MaybeShedOnOverflow).
+          NoteOverflow();
+          pick = LeastLoaded();
         }
-        total_live += replicas_[i]->runtime().live_lips();
-        ++live_replicas;
       }
-      double average = static_cast<double>(total_live + 1) /
-                       static_cast<double>(live_replicas);
-      double bound = options_.load_factor * average;
-      if (static_cast<double>(replicas_[preferred]->runtime().live_lips() + 1) <=
-          bound) {
-        return preferred;
-      }
-      // Hot key: the preferred replica is over its bound. The overflow is
-      // both a routing decision and a load signal (see MaybeShedOnOverflow).
-      NoteOverflow();
-      return LeastLoaded();
-    }
+      break;
   }
-  return 0;
+  // With nothing placeable at all, routing still answers slot 0; a launch
+  // there never runs, like everything else on the halted cluster.
+  assert(pick != kNoReplica && "no live replica");
+  if (pick == kNoReplica) {
+    pick = 0;
+  }
+  if (options_.routing == RoutingPolicy::kRoundRobin) {
+    next_round_robin_ = (pick + 1) % n;
+  }
+  return pick;
 }
 
 void SymphonyCluster::NoteOverflow() const {
-  ++overflow_events_;
+  ++counters_.overflow_events;
   SimTime now = sim_->now();
   if (now - overflow_window_start_ > options_.overflow_window) {
     overflow_window_start_ = now;
@@ -291,7 +320,7 @@ void SymphonyCluster::MaybeShedOnOverflow() {
   }
   last_overflow_rebalance_ = now;
   overflow_in_window_ = 0;
-  ++overflow_rebalances_;
+  ++counters_.overflow_rebalances;
   // Deferred one dispatch: Launch's placement must settle before migration
   // decisions read the load it just added.
   sim_->ScheduleAt(now, [this] { (void)Rebalance(); });
@@ -307,7 +336,7 @@ std::function<void(LipId)> SymphonyCluster::MakeOnExit(uint64_t uid) {
     rec.done = true;
     // Cache the output: the hosting slot may be rebuilt by readmission after
     // this LIP is gone, and Output() must keep answering.
-    rec.output = replicas_[rec.replica]->runtime().Output(lip);
+    rec.output = slots_[rec.replica].server->runtime().Output(lip);
     // The journal's life is over: drop its checkpoint's store reference.
     if (rec.journal != nullptr && rec.journal->checkpoint_key() != 0) {
       (void)store_->Release(rec.journal->checkpoint_key());
@@ -335,8 +364,8 @@ void SymphonyCluster::InstallCheckpointHook(
           // the next interval crossing.
           return;
         }
-        ++checkpoints_;
-        checkpoint_entries_folded_ += out->folded_entries;
+        ++counters_.checkpoints;
+        counters_.checkpoint_entries_folded += out->folded_entries;
         if (options_.server.trace != nullptr) {
           options_.server.trace->Instant(
               "store",
@@ -352,17 +381,16 @@ void SymphonyCluster::InstallDisaggHook(size_t index) {
   if (RoleOf(index) != ReplicaRole::kPrefill || !options_.enable_recovery) {
     return;
   }
-  replicas_[index]->scheduler().set_prefill_complete_hook(
+  slots_[index].server->scheduler().set_prefill_complete_hook(
       [this, index](LipId lip, uint64_t context_tokens) {
         // Map the runtime LIP back to its cluster record; the handoff runs
         // one dispatch later so the pred result settles into its coroutine
         // frame (and its journal entry) before the LIP is detached.
-        for (const auto& entry : records_) {
-          const LipRecord& rec = entry.second;
+        for (const auto& [uid, rec] : records_) {
           if (rec.replica == index && rec.lip == lip && !rec.done &&
               !rec.in_flight) {
             sim_->ScheduleAt(sim_->now(),
-                             [this, uid = rec.uid, context_tokens] {
+                             [this, uid = uid, context_tokens] {
                                MaybeHandoff(uid, context_tokens);
                              });
             return;
@@ -377,7 +405,7 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
     return;
   }
   LipRecord& rec = it->second;
-  if (rec.done || rec.in_flight || dead_[rec.replica] ||
+  if (rec.done || rec.in_flight || slots_[rec.replica].dead ||
       RoleOf(rec.replica) != ReplicaRole::kPrefill) {
     return;
   }
@@ -389,24 +417,18 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
       // the LIP decodes where it is.
       Replayer::Choose(*cost_model_, context_tokens) !=
           RecoveryMode::kImportSnapshot) {
-    ++disagg_handoff_skips_;
+    ++counters_.disagg_handoff_skips;
     return;
   }
-  // Least-loaded placeable serve-pool target (never another prefill slot).
-  size_t target = kNoReplica;
-  size_t best_load = SIZE_MAX;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  // Least-loaded healthy serve-pool target (never another prefill slot).
+  size_t target = Pick([&](size_t i) -> std::optional<size_t> {
     if (i == rec.replica || !Placeable(i) || !InServePool(i) || Avoided(i)) {
-      continue;
+      return std::nullopt;
     }
-    size_t load = replicas_[i]->runtime().live_lips();
-    if (load < best_load) {
-      target = i;
-      best_load = load;
-    }
-  }
+    return Load(i);
+  });
   if (target == kNoReplica) {
-    ++disagg_handoff_skips_;
+    ++counters_.disagg_handoff_skips;
     return;
   }
   // Publish the prefilled KV through the snapshot store now, so the ship is
@@ -418,14 +440,14 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
         *store_, rec.replica, options_.server.model.Fingerprint(),
         *rec.journal);
     if (folded.ok()) {
-      ++checkpoints_;
-      checkpoint_entries_folded_ += folded->folded_entries;
+      ++counters_.checkpoints;
+      counters_.checkpoint_entries_folded += folded->folded_entries;
     }
     // A corruption-window failure just means a fatter (full) ship below.
   }
   ClusterLip id{rec.replica, rec.lip, uid};
   if (Migrate(id, target).ok()) {
-    ++disagg_handoffs_;
+    ++counters_.disagg_handoffs;
     if (options_.server.trace != nullptr) {
       options_.server.trace->Instant(
           "recovery", "handoff:" + rec.name + ":replica" +
@@ -435,7 +457,7 @@ void SymphonyCluster::MaybeHandoff(uint64_t uid, uint64_t context_tokens) {
           sim_->now());
     }
   } else {
-    ++disagg_handoff_skips_;
+    ++counters_.disagg_handoff_skips;
   }
 }
 
@@ -451,11 +473,11 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
     uint64_t prefill_hint_tokens, LipProgram program,
     std::function<void(LipId)> on_exit) {
   size_t replica = RouteFor(affinity_key, prefill_hint_tokens);
-  ++launched_per_replica_[replica];
+  ++slots_[replica].launched;
   MaybeShedOnOverflow();
   if (!options_.enable_recovery) {
-    LipId lip = replicas_[replica]->Launch(std::move(name), std::move(program),
-                                           std::move(on_exit));
+    LipId lip = slots_[replica].server->Launch(
+        std::move(name), std::move(program), std::move(on_exit));
     if (ctrl_ != nullptr) {
       ctrl_->Kick();  // New work: (re)arm heartbeat/sweep/scaling chains.
     }
@@ -474,7 +496,7 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
   // rather than the replica's decorrelated runtime seed.
   uint64_t seed =
       Mix64(options_.server.runtime.seed ^ (0x5eedULL + uid * 0x9e3779b9ULL));
-  LipRuntime& runtime = replicas_[replica]->runtime();
+  LipRuntime& runtime = slots_[replica].server->runtime();
   rec.lip = runtime.LaunchWithSeed(std::move(name), seed, std::move(program),
                                    MakeOnExit(uid));
   runtime.EnableJournal(rec.lip, rec.journal);
@@ -498,13 +520,14 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
   if (options_.reroute_on_reject) {
     // (suspected, live lips, replica)
     std::vector<std::tuple<bool, size_t, size_t>> rest;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    std::vector<size_t> loads = PlaceableLoads();
+    for (size_t i = 0; i < slots_.size(); ++i) {
       // Prefill-role replicas never serve as reroute fallbacks: rerouted
       // work is by definition not a routed large prefill.
-      if (i == preferred || !Placeable(i) || !InServePool(i)) {
+      if (i == preferred || loads[i] == SIZE_MAX || !InServePool(i)) {
         continue;
       }
-      rest.emplace_back(Avoided(i), replicas_[i]->runtime().live_lips(), i);
+      rest.emplace_back(Avoided(i), loads[i], i);
     }
     std::sort(rest.begin(), rest.end());
     for (const auto& [avoided, load, i] : rest) {
@@ -517,15 +540,15 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
   for (size_t c : candidates) {
     // LaunchSpec is copyable (LipProgram re-invokes); keep ours for the
     // next candidate.
-    SymphonyServer::AdmitResult result = replicas_[c]->Submit(spec);
+    SymphonyServer::AdmitResult result = slots_[c].server->Submit(spec);
     if (result.status.ok()) {
-      ++launched_per_replica_[c];
+      ++slots_[c].launched;
       ClusterAdmitResult out;
       out.result = std::move(result);
       out.replica = c;
       out.rerouted = c != preferred;
       if (out.rerouted) {
-        ++submit_reroutes_;
+        ++counters_.submit_reroutes;
       }
       if (ctrl_ != nullptr) {
         // AFTER the admit/queue landed: Kick is gated on ControlHasWork and
@@ -542,7 +565,7 @@ SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
       shed.replica = c;
     }
   }
-  ++submit_sheds_;
+  ++counters_.submit_sheds;
   return shed;
 }
 
@@ -588,7 +611,7 @@ void SymphonyCluster::ShipJournal(uint64_t uid, size_t target,
     StatusOr<RehydrateOutcome> fetch =
         RehydrateJournal(*store_, target, *journal);
     if (!fetch.ok()) {
-      ++rehydrate_retries_;
+      ++counters_.rehydrate_retries;
       sim_->ScheduleAfter(Millis(2), [this, uid, target, journal] {
         ShipJournal(uid, target, journal);
       });
@@ -610,11 +633,11 @@ void SymphonyCluster::ShipJournal(uint64_t uid, size_t target,
                                          "ship:" + it->second.name) -
                      sim_->now();
   SimDuration delay = delta ? std::max(wire, fetch_time) : wire;
-  ship_bytes_ += ship;
+  counters_.ship_bytes += ship;
   if (delta) {
-    ++delta_ships_;
+    ++counters_.delta_ships;
   } else {
-    ++full_ships_;
+    ++counters_.full_ships;
   }
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
@@ -642,22 +665,18 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
     // The target died (or started draining / crashed) while the journal was
     // in flight; divert to a survivor (the journal bytes already moved — no
     // second shipping charge).
-    bool any_live = false;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      any_live = any_live || Placeable(i);
-    }
-    if (!any_live) {
+    target = LeastLoaded();
+    if (target == kNoReplica) {
       rec.in_flight = false;
       return;
     }
-    target = LeastLoaded();
   }
   // Capture the stale placement before overwriting: the fabric forwards any
   // channel homed at the old incarnation to wherever the replay landed.
   size_t old_replica = rec.replica;
   LipId old_lip = rec.lip;
   ReplayOutcome outcome = Replayer::Replay(
-      replicas_[target]->runtime(), *cost_model_, &options_.server.model,
+      slots_[target].server->runtime(), *cost_model_, &options_.server.model,
       journal, rec.program, options_.recovery_mode, MakeOnExit(uid));
   fabric_->RehomeEndpoint(old_replica, old_lip, target, outcome.lip);
   rec.replica = target;
@@ -674,17 +693,17 @@ void SymphonyCluster::StartReplay(uint64_t uid, size_t target,
 }
 
 Status SymphonyCluster::KillReplica(size_t index) {
-  if (index >= replicas_.size()) {
+  if (index >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(index));
   }
-  if (dead_[index]) {
+  if (slots_[index].dead) {
     return FailedPreconditionError("replica " + std::to_string(index) +
                                    " already dead");
   }
   // Manual kills are permanent: the slot is retired (never readmitted) and
   // the control plane is told so it stops monitoring instead of burning a
   // detection window discovering what the caller already knows.
-  retired_[index] = true;
+  slots_[index].retired = true;
   if (ctrl_ != nullptr) {
     ctrl_->NoteManualDeath(index);
   }
@@ -692,11 +711,10 @@ Status SymphonyCluster::KillReplica(size_t index) {
 }
 
 Status SymphonyCluster::FailReplica(size_t index) {
-  if (dead_[index]) {
+  if (slots_[index].dead) {
     return Status::Ok();  // ControlFailover after a manual kill raced: done.
   }
-  dead_[index] = true;
-  LipRuntime& runtime = replicas_[index]->runtime();
+  slots_[index].dead = true;
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant("recovery",
                                    "kill:replica" + std::to_string(index),
@@ -705,60 +723,26 @@ Status SymphonyCluster::FailReplica(size_t index) {
   // Collect the victims before halting: LipDone() still answers afterwards,
   // but the order keeps this readable. (On the autonomic path the runtime
   // was already halted by the fence — collection only reads.)
-  std::vector<uint64_t> victims;
-  for (auto& entry : records_) {
-    LipRecord& rec = entry.second;
-    // In-flight records still name this replica but their journal is already
-    // on its way elsewhere (StartReplay re-targets if needed); skip them.
-    if (rec.replica == index && !rec.done && !rec.in_flight &&
-        !runtime.LipDone(rec.lip)) {
-      victims.push_back(rec.uid);
-    }
-  }
-  runtime.Halt();
+  std::vector<uint64_t> victims = HostedLips(index);
+  slots_[index].server->runtime().Halt();
   fabric_->MarkReplicaDead(index);
   if (!options_.enable_recovery || victims.empty()) {
     return Status::Ok();
   }
-  bool any_live = false;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    any_live = any_live || Placeable(i);
-  }
-  if (!any_live) {
-    return FailedPreconditionError("no surviving replica to fail over to");
-  }
-  // Spread the victims across survivors by (planned) load. IPC-coupled LIPs
-  // may land apart: the fabric serves each one's journaled recvs, suppresses
-  // its journaled sends, and rehomes its channels at replay time, so they no
-  // longer have to re-execute against each other on one replica. Sort first —
-  // records_ iteration order is unordered and placement must be stable.
-  std::sort(victims.begin(), victims.end());
-  std::vector<size_t> planned(replicas_.size(), 0);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    planned[i] = Placeable(i) ? replicas_[i]->runtime().live_lips() : SIZE_MAX;
-  }
+  // Spread the victims across survivors by planned load — roles and
+  // suspicion are not consulted here, unlike every other placement.
+  // IPC-coupled LIPs may land apart: the fabric serves each one's journaled
+  // recvs, suppresses its journaled sends, and rehomes its channels at
+  // replay time, so they need not re-execute against each other.
+  std::vector<size_t> planned = PlaceableLoads();
   for (uint64_t uid : victims) {
-    size_t target = 0;
-    size_t best = SIZE_MAX;
-    SimDuration best_dist = 0;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (!Placeable(i)) {
-        continue;
-      }
-      // Topology-aware spreading: equal planned load breaks toward the
-      // survivor closest to the victim (an intra-rack failover ships its
-      // journal without crossing the uplink). Strictly-closer-only, so the
-      // uniform single-switch topology keeps the legacy lowest-index pick.
-      SimDuration dist = topology_->Distance(index, i);
-      if (planned[i] < best || (planned[i] == best && dist < best_dist)) {
-        best = planned[i];
-        best_dist = dist;
-        target = i;
-      }
+    size_t target = ClosestLeastPlanned(planned, index);
+    if (target == kNoReplica) {  // Only ever the first victim: no survivor.
+      return FailedPreconditionError("no surviving replica to fail over to");
     }
     ++planned[target];
     ReplayOnto(records_[uid], target);
-    ++failovers_;
+    ++counters_.failovers;
   }
   SYMPHONY_LOG(kInfo) << "replica " << index << " killed; " << victims.size()
                       << " lip journal(s) shipped to survivors";
@@ -766,25 +750,26 @@ Status SymphonyCluster::FailReplica(size_t index) {
 }
 
 Status SymphonyCluster::CrashReplica(size_t index, SimDuration down_for) {
-  if (index >= replicas_.size()) {
+  if (index >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(index));
   }
-  if (dead_[index] || crashed_[index]) {
+  Slot& slot = slots_[index];
+  if (slot.dead || slot.crashed) {
     return FailedPreconditionError("replica " + std::to_string(index) +
                                    " already down");
   }
-  crashed_[index] = true;
-  crash_heal_at_[index] = down_for < 0 ? -1 : sim_->now() + down_for;
+  slot.crashed = true;
+  slot.heal_at = down_for < 0 ? -1 : sim_->now() + down_for;
   // Silent: the runtime halts (its heartbeats stop with it) but no cluster
   // component is marked dead — detection is the control plane's job.
-  replicas_[index]->runtime().Halt();
+  slot.server->runtime().Halt();
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant("recovery",
                                    "crash:replica" + std::to_string(index),
                                    sim_->now());
   }
   if (down_for >= 0) {
-    sim_->ScheduleAt(crash_heal_at_[index], [this, index] {
+    sim_->ScheduleAt(slot.heal_at, [this, index] {
       if (ctrl_ != nullptr) {
         ctrl_->NoteReplicaHealed(index);
       }
@@ -802,7 +787,7 @@ size_t SymphonyCluster::AddReplica() {
 }
 
 Status SymphonyCluster::DrainReplica(size_t index) {
-  if (index >= replicas_.size()) {
+  if (index >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(index));
   }
   if (!options_.enable_recovery) {
@@ -823,8 +808,8 @@ Status SymphonyCluster::DrainReplica(size_t index) {
 
 void SymphonyCluster::PollDrain(size_t index) {
   // Manual drains without a control plane finish through this small chain;
-  // it dies with the draining_ flag, so Simulator::Run still terminates.
-  if (!draining_[index]) {
+  // it dies with the draining flag, so Simulator::Run still terminates.
+  if (!slots_[index].draining) {
     return;
   }
   if (!ControlDrainComplete(index)) {
@@ -834,14 +819,15 @@ void SymphonyCluster::PollDrain(size_t index) {
 
 // ---- ClusterControl (src/ctrl) -----------------------------------------
 
-size_t SymphonyCluster::ControlReplicaCount() const {
-  return replicas_.size();
-}
+size_t SymphonyCluster::ControlReplicaCount() const { return slots_.size(); }
 
 bool SymphonyCluster::ControlBeating(size_t replica) const {
-  return replica < replicas_.size() && !dead_[replica] &&
-         !crashed_[replica] && !fenced_[replica] &&
-         !replicas_[replica]->runtime().halted();
+  if (replica >= slots_.size()) {
+    return false;
+  }
+  const Slot& slot = slots_[replica];
+  return !slot.dead && !slot.crashed && !slot.fenced &&
+         !slot.server->runtime().halted();
 }
 
 bool SymphonyCluster::ControlHasWork() const {
@@ -850,12 +836,12 @@ bool SymphonyCluster::ControlHasWork() const {
       return true;  // Includes LIPs stranded on a crashed replica.
     }
   }
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (draining_[i]) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].draining) {
       return true;
     }
-    if (Placeable(i) && (replicas_[i]->runtime().live_lips() > 0 ||
-                         replicas_[i]->admission_queue_depth() > 0)) {
+    if (Placeable(i) && (Load(i) > 0 ||
+                         slots_[i].server->admission_queue_depth() > 0)) {
       return true;
     }
   }
@@ -863,11 +849,11 @@ bool SymphonyCluster::ControlHasWork() const {
 }
 
 SimTime SymphonyCluster::ControlHealAt(size_t replica) const {
-  if (retired_[replica]) {
+  if (slots_[replica].retired) {
     return -1;  // Manual kill / detached drain: permanent.
   }
-  if (crashed_[replica]) {
-    return crash_heal_at_[replica];  // -1 when the crash never heals.
+  if (slots_[replica].crashed) {
+    return slots_[replica].heal_at;  // -1 when the crash never heals.
   }
   return 0;  // Fence-only (false suspicion): the process never went away.
 }
@@ -875,10 +861,10 @@ SimTime SymphonyCluster::ControlHealAt(size_t replica) const {
 void SymphonyCluster::ControlFence(size_t replica, uint64_t epoch) {
   // Halt + refusal at every shared surface BEFORE any LIP is re-executed
   // elsewhere: the old incarnation must be provably inert.
-  replicas_[replica]->runtime().Halt();
+  slots_[replica].server->runtime().Halt();
   fabric_->FenceReplica(replica, epoch);
   store_->SetReplicaFenced(replica, true);
-  fenced_[replica] = true;
+  slots_[replica].fenced = true;
 }
 
 void SymphonyCluster::ControlFailover(size_t replica) {
@@ -886,11 +872,11 @@ void SymphonyCluster::ControlFailover(size_t replica) {
 }
 
 bool SymphonyCluster::ControlReadmit(size_t replica, uint64_t epoch) {
-  if (retired_[replica] || !dead_[replica]) {
+  Slot& slot = slots_[replica];
+  if (slot.retired || !slot.dead) {
     return false;
   }
-  if (crashed_[replica] && (crash_heal_at_[replica] < 0 ||
-                            crash_heal_at_[replica] > sim_->now())) {
+  if (slot.crashed && (slot.heal_at < 0 || slot.heal_at > sim_->now())) {
     return false;  // Process still down.
   }
   // Collect stranded LIPs while this slot is still marked dead: a failover
@@ -898,25 +884,15 @@ bool SymphonyCluster::ControlReadmit(size_t replica, uint64_t epoch) {
   // partition) left their records behind, and the readmitted replica is the
   // first capacity able to rescue them.
   std::vector<uint64_t> stranded = StrandedLips();
-  // The old incarnation's state is gone; rebuild the slot fresh. The old
-  // server object is parked, not destroyed — pending simulator events may
-  // still name its (halted) runtime.
-  retired_servers_.push_back(std::move(replicas_[replica]));
-  replicas_[replica] = BuildReplica(replica);
-  fabric_->ReviveReplica(replica, &replicas_[replica]->runtime());
-  replicas_[replica]->runtime().set_channel_fabric(fabric_.get(), replica);
-  replicas_[replica]->set_backpressure_hook(
-      [fabric = fabric_.get(), replica] {
-        return fabric->BackpressureDelay(replica);
-      });
-  InstallDisaggHook(replica);  // The slot keeps its original role.
+  // The old incarnation's state is gone; rebuild the slot fresh (keeping
+  // its role and launch count). The old server object is parked, not
+  // destroyed — pending simulator events may still name its halted runtime.
+  retired_servers_.push_back(std::move(slot.server));
+  slot = Slot{BuildReplica(replica), slot.role, slot.launched};
+  fabric_->ReviveReplica(replica, &slot.server->runtime());
+  WireReplica(replica);
   store_->SetReplicaFenced(replica, false);
   store_->ForgetReplica(replica);
-  dead_[replica] = false;
-  fenced_[replica] = false;
-  crashed_[replica] = false;
-  draining_[replica] = false;
-  crash_heal_at_[replica] = -1;
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
         "recovery", "readmit:replica" + std::to_string(replica) + "@epoch" +
@@ -925,7 +901,7 @@ bool SymphonyCluster::ControlReadmit(size_t replica, uint64_t epoch) {
   }
   for (uint64_t uid : stranded) {
     ReplayOnto(records_[uid], replica);
-    ++failovers_;
+    ++counters_.failovers;
   }
   return true;
 }
@@ -937,23 +913,25 @@ size_t SymphonyCluster::ControlAddReplica() {
   // of adding a decode replica that never sees the queued work. A role-less
   // cluster always adds kUnified (the legacy behavior).
   ReplicaRole role = ReplicaRole::kUnified;
-  if (HasPrefillPool()) {
+  if (std::any_of(slots_.begin(), slots_.end(), [](const Slot& slot) {
+        return slot.role == ReplicaRole::kPrefill;
+      })) {
     SimDuration prefill_delay = 0;
     SimDuration serve_delay = 0;
     size_t prefill_lips = 0;
     size_t serve_lips = 0;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (!Placeable(i)) {
+    std::vector<size_t> loads = PlaceableLoads();
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (loads[i] == SIZE_MAX) {
         continue;
       }
-      SimDuration delay = replicas_[i]->ProjectedAdmissionDelay();
-      size_t lips = replicas_[i]->runtime().live_lips();
+      SimDuration delay = slots_[i].server->ProjectedAdmissionDelay();
       if (InServePool(i)) {
         serve_delay = std::max(serve_delay, delay);
-        serve_lips += lips;
+        serve_lips += loads[i];
       } else {
         prefill_delay = std::max(prefill_delay, delay);
-        prefill_lips += lips;
+        prefill_lips += loads[i];
       }
     }
     if (std::tie(prefill_delay, prefill_lips) >
@@ -962,24 +940,10 @@ size_t SymphonyCluster::ControlAddReplica() {
     }
   }
   size_t index = topology_->AddReplica();
-  assert(index == replicas_.size());
-  replicas_.push_back(BuildReplica(index));
-  roles_.resize(index, ReplicaRole::kUnified);  // Paranoia: stay aligned.
-  roles_.push_back(role);
-  launched_per_replica_.push_back(0);
-  dead_.push_back(false);
-  draining_.push_back(false);
-  fenced_.push_back(false);
-  crashed_.push_back(false);
-  retired_.push_back(false);
-  crash_heal_at_.push_back(-1);
-  fabric_->AttachReplica(index, &replicas_[index]->runtime());
-  replicas_[index]->runtime().set_channel_fabric(fabric_.get(), index);
-  replicas_[index]->set_backpressure_hook(
-      [fabric = fabric_.get(), index] {
-        return fabric->BackpressureDelay(index);
-      });
-  InstallDisaggHook(index);
+  assert(index == slots_.size());
+  slots_.push_back(Slot{BuildReplica(index), role});
+  fabric_->AttachReplica(index, &slots_[index].server->runtime());
+  WireReplica(index);
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
         "recovery",
@@ -990,41 +954,25 @@ size_t SymphonyCluster::ControlAddReplica() {
   // Fresh capacity rescues any LIPs stranded by a survivor-less failover.
   for (uint64_t uid : StrandedLips()) {
     ReplayOnto(records_[uid], index);
-    ++failovers_;
+    ++counters_.failovers;
   }
   return index;
 }
 
 bool SymphonyCluster::ControlStartDrain(size_t replica) {
-  if (!options_.enable_recovery || replica >= replicas_.size() ||
-      !Placeable(replica)) {
+  // The replica must be serving, and another one must be able to take its
+  // LIPs.
+  if (!options_.enable_recovery || replica >= slots_.size() ||
+      !Placeable(replica) || Totals(PlaceableLoads()).placeable < 2) {
     return false;
   }
-  bool other = false;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    other = other || (i != replica && Placeable(i));
-  }
-  if (!other) {
-    return false;  // Nowhere for its LIPs to go.
-  }
-  draining_[replica] = true;  // Placement stops at once.
+  slots_[replica].draining = true;  // Placement stops at once.
   DrainStep(replica);
   return true;
 }
 
 void SymphonyCluster::DrainStep(size_t index) {
-  std::vector<uint64_t> hosted;
-  for (auto& entry : records_) {
-    LipRecord& rec = entry.second;
-    if (rec.replica == index && !rec.done && !rec.in_flight &&
-        !replicas_[index]->runtime().LipDone(rec.lip)) {
-      hosted.push_back(rec.uid);
-    }
-  }
-  // Sort: records_ iteration order is unordered and placement must be
-  // deterministic.
-  std::sort(hosted.begin(), hosted.end());
-  for (uint64_t uid : hosted) {
+  for (uint64_t uid : HostedLips(index)) {
     LipRecord& rec = records_[uid];
     ClusterLip id{rec.replica, rec.lip, uid};
     (void)Migrate(id, LeastLoaded());
@@ -1032,7 +980,8 @@ void SymphonyCluster::DrainStep(size_t index) {
 }
 
 bool SymphonyCluster::ControlDrainComplete(size_t replica) {
-  if (!draining_[replica]) {
+  Slot& slot = slots_[replica];
+  if (!slot.draining) {
     return false;
   }
   DrainStep(replica);  // Retry stragglers (e.g. a target that went away).
@@ -1043,14 +992,13 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
       return false;
     }
   }
-  if (replicas_[replica]->runtime().live_lips() > 0 ||
-      replicas_[replica]->admission_queue_depth() > 0) {
+  if (Load(replica) > 0 || slot.server->admission_queue_depth() > 0) {
     return false;  // Untracked (non-recovery or admission-queued) work left.
   }
-  draining_[replica] = false;
-  dead_[replica] = true;
-  retired_[replica] = true;  // A detached slot is never readmitted.
-  replicas_[replica]->runtime().Halt();
+  slot.draining = false;
+  slot.dead = true;
+  slot.retired = true;  // A detached slot is never readmitted.
+  slot.server->runtime().Halt();
   fabric_->MarkReplicaDead(replica);
   if (options_.server.trace != nullptr) {
     options_.server.trace->Instant(
@@ -1061,19 +1009,17 @@ bool SymphonyCluster::ControlDrainComplete(size_t replica) {
 
 ClusterControl::LoadSignal SymphonyCluster::ControlLoadSignal() const {
   LoadSignal sig;
-  sig.sheds = submit_sheds_;
-  sig.lips.assign(replicas_.size(), kNoReplica);
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (!Placeable(i)) {
-      continue;
+  sig.sheds = counters_.submit_sheds;
+  sig.lips = PlaceableLoads();  // SIZE_MAX is kNoReplica: not serving.
+  LoadTotals totals = Totals(sig.lips);
+  sig.serving = totals.placeable;
+  sig.live_lips = totals.lips;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (sig.lips[i] != SIZE_MAX) {
+      sig.queued += slots_[i].server->admission_queue_depth();
+      sig.worst_delay = std::max(sig.worst_delay,
+                                 slots_[i].server->ProjectedAdmissionDelay());
     }
-    ++sig.serving;
-    size_t lips = replicas_[i]->runtime().live_lips();
-    sig.live_lips += lips;
-    sig.lips[i] = lips;
-    sig.queued += replicas_[i]->admission_queue_depth();
-    sig.worst_delay =
-        std::max(sig.worst_delay, replicas_[i]->ProjectedAdmissionDelay());
   }
   return sig;
 }
@@ -1087,13 +1033,13 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
     return NotFoundError("unknown lip uid " + std::to_string(id.uid));
   }
   LipRecord& rec = it->second;
-  if (to_replica >= replicas_.size()) {
+  if (to_replica >= slots_.size()) {
     return InvalidArgumentError("no replica " + std::to_string(to_replica));
   }
   if (!Placeable(to_replica)) {
     return FailedPreconditionError("target replica is not placeable");
   }
-  if (dead_[rec.replica]) {
+  if (slots_[rec.replica].dead) {
     return FailedPreconditionError("source replica is dead");
   }
   if (to_replica == rec.replica) {
@@ -1103,7 +1049,7 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
   if (rec.in_flight) {
     return FailedPreconditionError("lip migration already in flight");
   }
-  LipRuntime& source = replicas_[rec.replica]->runtime();
+  LipRuntime& source = slots_[rec.replica].server->runtime();
   if (rec.done || source.LipDone(rec.lip)) {
     return FailedPreconditionError("lip already finished");
   }
@@ -1116,7 +1062,7 @@ Status SymphonyCluster::Migrate(const ClusterLip& id, size_t to_replica) {
         sim_->now());
   }
   ReplayOnto(rec, to_replica);
-  ++migrations_;
+  ++counters_.migrations;
   return Status::Ok();
 }
 
@@ -1124,18 +1070,9 @@ size_t SymphonyCluster::Rebalance() {
   if (!options_.enable_recovery) {
     return 0;
   }
-  std::vector<size_t> loads(replicas_.size(), SIZE_MAX);
-  size_t total = 0;
-  size_t live_replicas = 0;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (!Placeable(i)) {
-      continue;
-    }
-    loads[i] = replicas_[i]->runtime().live_lips();
-    total += loads[i];
-    ++live_replicas;
-  }
-  if (live_replicas < 2) {
+  std::vector<size_t> loads = PlaceableLoads();
+  LoadTotals totals = Totals(loads);
+  if (totals.placeable < 2) {
     return 0;
   }
   std::vector<std::pair<uint64_t, size_t>> moves;
@@ -1147,36 +1084,23 @@ size_t SymphonyCluster::Rebalance() {
     // balance (target + 1 < source on the planned loads). Without that
     // guard a single straggler ping-pongs between replicas forever, each
     // migration restarting it before it can finish.
-    double average =
-        static_cast<double>(total) / static_cast<double>(live_replicas);
+    double average = static_cast<double>(totals.lips) /
+                     static_cast<double>(totals.placeable);
     double bound = options_.load_factor * average;
     std::vector<size_t> planned = loads;  // SIZE_MAX marks unusable replicas.
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
       if (loads[i] == SIZE_MAX || static_cast<double>(loads[i]) <= bound) {
         continue;
       }
       for (auto& entry : records_) {
         LipRecord& rec = entry.second;
         if (rec.replica != i || rec.done || rec.in_flight ||
-            replicas_[i]->runtime().LipDone(rec.lip)) {
+            slots_[i].server->runtime().LipDone(rec.lip)) {
           continue;
         }
-        size_t target = i;
-        SimDuration target_dist = 0;
-        for (size_t j = 0; j < replicas_.size(); ++j) {
-          if (planned[j] == SIZE_MAX) {
-            continue;
-          }
-          // Same topology-aware tie-break as KillReplica: prefer the closest
-          // equally-empty replica so rebalance ships stay intra-rack.
-          SimDuration dist = topology_->Distance(i, j);
-          if (planned[j] < planned[target] ||
-              (target != i && planned[j] == planned[target] &&
-               dist < target_dist)) {
-            target = j;
-            target_dist = dist;
-          }
-        }
+        // Same pick as failover: the closest of the least-planned replicas
+        // (a tie with the source itself means no move improves balance).
+        size_t target = ClosestLeastPlanned(planned, i);
         if (target == i || planned[target] + 1 >= planned[i] ||
             static_cast<double>(planned[i]) <= bound) {
           break;
@@ -1206,7 +1130,7 @@ void SymphonyCluster::ScheduleRebalance(SimDuration period) {
     Rebalance();
     // Keep the chain alive only while there is work, so Simulator::Run
     // still terminates once the cluster drains.
-    if (LiveLipsTotal() > 0) {
+    if (Totals(PlaceableLoads()).lips > 0) {
       ScheduleRebalance(period);
     }
   });
@@ -1220,11 +1144,11 @@ void SymphonyCluster::StartAutoRebalance(SimDuration period) {
 size_t SymphonyCluster::SharePrefixes() {
   size_t warmed = 0;
   uint64_t fingerprint = options_.server.model.Fingerprint();
-  for (size_t i = 0; i < replicas_.size(); ++i) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
     if (!Placeable(i)) {
       continue;
     }
-    Kvfs& kvfs = replicas_[i]->kvfs();
+    Kvfs& kvfs = slots_[i].server->kvfs();
     for (const KvFileInfo& info : kvfs.ListAll()) {
       if (info.path.empty() || info.opens_total < options_.share_min_opens ||
           info.length < options_.share_min_tokens) {
@@ -1239,7 +1163,7 @@ size_t SymphonyCluster::SharePrefixes() {
       // import costs more than one recompute prefill isn't worth sharing.
       if (Replayer::Choose(*cost_model_, info.length) !=
           RecoveryMode::kImportSnapshot) {
-        ++warm_skips_cost_;
+        ++counters_.warm_skips_cost;
         continue;
       }
       OpenOptions open;
@@ -1261,7 +1185,7 @@ size_t SymphonyCluster::SharePrefixes() {
       payload.streams.emplace_back("records",
                                    SerializeTokenRecords(snap->records));
       PublishResult published = store_->Publish(i, payload);
-      ++prefix_publishes_;
+      ++counters_.prefix_publishes;
       if (shared != shared_prefixes_.end()) {
         if (shared->second.key != published.key) {
           (void)store_->Release(shared->second.key);
@@ -1275,33 +1199,34 @@ size_t SymphonyCluster::SharePrefixes() {
       }
       // Warm every live replica that lacks the path. The file materializes
       // after the fetched bytes' interconnect time.
-      for (size_t j = 0; j < replicas_.size(); ++j) {
-        if (j == i || !Placeable(j) || replicas_[j]->kvfs().Exists(info.path)) {
+      for (size_t j = 0; j < slots_.size(); ++j) {
+        if (j == i || !Placeable(j) ||
+            slots_[j].server->kvfs().Exists(info.path)) {
           continue;
         }
         StatusOr<FetchResult> fetch = store_->Fetch(j, published.key);
         if (!fetch.ok()) {
           // Corruption window: the import is abandoned — the replica falls
           // back to recomputing the prefix when it needs it.
-          ++warm_corrupt_fallbacks_;
+          ++counters_.warm_corrupt_fallbacks;
           continue;
         }
         StatusOr<std::vector<TokenRecord>> records =
             ParseTokenRecords(fetch->streams[0].second);
         if (!records.ok()) {
-          ++warm_corrupt_fallbacks_;
+          ++counters_.warm_corrupt_fallbacks;
           continue;
         }
         auto import = std::make_shared<KvFileSnapshot>();
         import->path = info.path;
         import->mode = snap->mode;
         import->records = std::move(*records);
-        ++warm_imports_;
-        warm_import_tokens_ += info.length;
+        ++counters_.warm_imports;
+        counters_.warm_import_tokens += info.length;
         ++warmed;
         sim_->ScheduleAfter(fetch->transfer_time, [this, j, import] {
           if (Placeable(j)) {
-            (void)replicas_[j]->ImportNamedSnapshot(*import);
+            (void)slots_[j].server->ImportNamedSnapshot(*import);
           }
         });
       }
@@ -1314,7 +1239,7 @@ void SymphonyCluster::SchedulePrefixSharing(SimDuration period) {
   sim_->ScheduleAfter(period, [this, period] {
     (void)SharePrefixes();
     // Keep the chain alive only while there is work (see ScheduleRebalance).
-    if (LiveLipsTotal() > 0) {
+    if (Totals(PlaceableLoads()).lips > 0) {
       SchedulePrefixSharing(period);
     }
   });
@@ -1323,18 +1248,6 @@ void SymphonyCluster::SchedulePrefixSharing(SimDuration period) {
 void SymphonyCluster::StartPrefixSharing(SimDuration period) {
   assert(period > 0);
   SchedulePrefixSharing(period);
-}
-
-size_t SymphonyCluster::LiveLipsTotal() const {
-  size_t live = 0;
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    // Placeable only: a crashed replica's stranded count must not keep the
-    // rebalance/sharing chains (and thus Simulator::Run) alive forever.
-    if (Placeable(i)) {
-      live += replicas_[i]->runtime().live_lips();
-    }
-  }
-  return live;
 }
 
 SymphonyCluster::ClusterLip SymphonyCluster::Locate(
@@ -1354,7 +1267,7 @@ const std::string& SymphonyCluster::Output(const ClusterLip& id) const {
     return it->second.output;
   }
   ClusterLip where = Locate(id);
-  return replicas_[where.replica]->runtime().Output(where.lip);
+  return slots_[where.replica].server->runtime().Output(where.lip);
 }
 
 bool SymphonyCluster::Done(const ClusterLip& id) const {
@@ -1362,15 +1275,16 @@ bool SymphonyCluster::Done(const ClusterLip& id) const {
   if (it != records_.end()) {
     return it->second.done;
   }
-  return replicas_[id.replica]->runtime().LipDone(id.lip);
+  return slots_[id.replica].server->runtime().LipDone(id.lip);
 }
 
 SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   ClusterSnapshot snap;
-  snap.lips_per_replica = launched_per_replica_;
+  static_cast<ClusterCounters&>(snap) = counters_;
   SampleSeries queue_waits;  // Merged across replicas for cluster percentiles.
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    SymphonyServer* replica = replicas_[i].get();
+  for (const Slot& slot : slots_) {
+    SymphonyServer* replica = slot.server.get();
+    snap.lips_per_replica.push_back(slot.launched);
     snap.total_throughput_busy += replica->device().Utilization();
     snap.batches += replica->device().stats().batches;
     snap.lips_completed += replica->runtime().stats().lips_completed;
@@ -1389,7 +1303,7 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
     for (double wait : replica->scheduler().queue_waits_ms().samples()) {
       queue_waits.Add(wait);
     }
-    if (dead_[i]) {
+    if (slot.dead) {
       ++snap.replicas_dead;
     }
   }
@@ -1397,9 +1311,6 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
     snap.queue_wait_p50_ms = queue_waits.Percentile(0.5);
     snap.queue_wait_p99_ms = queue_waits.Percentile(0.99);
   }
-  snap.disagg_prefill_routes = disagg_prefill_routes_;
-  snap.disagg_handoffs = disagg_handoffs_;
-  snap.disagg_handoff_skips = disagg_handoff_skips_;
   for (size_t i = 0; i < fabric_->replica_count(); ++i) {
     const IpcReplicaStats& ipc = fabric_->replica_stats(i);
     snap.ipc_sent += ipc.sent;
@@ -1417,23 +1328,6 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   snap.ipc_credit_waits = fabric_->stats().credit_waits;
   snap.ipc_credit_grants = fabric_->stats().credit_grants;
   snap.ipc_credit_deadlocks = fabric_->stats().credit_deadlocks;
-  snap.failovers = failovers_;
-  snap.migrations = migrations_;
-  snap.overflow_events = overflow_events_;
-  snap.overflow_rebalances = overflow_rebalances_;
-  snap.checkpoints = checkpoints_;
-  snap.checkpoint_entries_folded = checkpoint_entries_folded_;
-  snap.delta_ships = delta_ships_;
-  snap.full_ships = full_ships_;
-  snap.ship_bytes = ship_bytes_;
-  snap.rehydrate_retries = rehydrate_retries_;
-  snap.prefix_publishes = prefix_publishes_;
-  snap.warm_imports = warm_imports_;
-  snap.warm_import_tokens = warm_import_tokens_;
-  snap.warm_skips_cost = warm_skips_cost_;
-  snap.warm_corrupt_fallbacks = warm_corrupt_fallbacks_;
-  snap.submit_reroutes = submit_reroutes_;
-  snap.submit_sheds = submit_sheds_;
   snap.store = store_->stats();
   snap.net_transfers = topology_->stats().transfers;
   snap.net_payload_bytes = topology_->stats().payload_bytes;
@@ -1445,12 +1339,12 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
   if (ctrl_ != nullptr) {
     snap.ctrl = ctrl_->stats();
     snap.ctrl_seat = ctrl_->seat();
-    for (size_t i = 0; i < replicas_.size(); ++i) {
+    for (size_t i = 0; i < slots_.size(); ++i) {
       ClusterSnapshot::ReplicaLiveness row;
       row.state = ctrl_->Health(i);
       row.epoch = ctrl_->Epoch(i);
       row.heartbeat_age = ctrl_->HeartbeatAge(i);
-      row.fenced = fenced_[i];
+      row.fenced = slots_[i].fenced;
       if (options_.enable_recovery) {
         for (const auto& entry : records_) {
           if (entry.second.replica == i && !entry.second.done) {
@@ -1458,7 +1352,7 @@ SymphonyCluster::ClusterSnapshot SymphonyCluster::Snapshot() const {
           }
         }
       } else {
-        row.lips_hosted = replicas_[i]->runtime().live_lips();
+        row.lips_hosted = Load(i);
       }
       snap.liveness.push_back(row);
     }

@@ -12,6 +12,13 @@
 //                       RAG topic) so same-key LIPs share a replica and its
 //                       named KV files.
 //
+// Every placement goes through one picker: among placeable replicas (not
+// dead, draining or halted) take the smallest rank, the lowest index on
+// ties. Routing ranks by serve pool (prefill-role replicas last), then
+// healthy before control-plane-suspected, then load or rotation order.
+// Failover and rebalance rank by planned load, then topology distance from
+// the source; failover alone ignores roles and suspicion.
+//
 // Fault tolerance & live migration (src/recovery): with enable_recovery the
 // cluster journals every LIP's syscalls. KillReplica(i) halts a replica and
 // replays its live LIPs on a survivor; Migrate moves one LIP between live
@@ -34,7 +41,9 @@
 #define SRC_SERVE_CLUSTER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -198,11 +207,11 @@ class SymphonyCluster : private ClusterControl {
   // The role replica `index` was configured (or scaled out) with.
   ReplicaRole RoleOf(size_t index) const;
 
-  size_t replica_count() const { return replicas_.size(); }
-  SymphonyServer& replica(size_t index) { return *replicas_[index]; }
+  size_t replica_count() const { return slots_.size(); }
+  SymphonyServer& replica(size_t index) { return *slots_[index].server; }
   const ClusterOptions& options() const { return options_; }
-  bool replica_dead(size_t index) const { return dead_[index]; }
-  bool replica_draining(size_t index) const { return draining_[index]; }
+  bool replica_dead(size_t index) const { return slots_[index].dead; }
+  bool replica_draining(size_t index) const { return slots_[index].draining; }
 
   // The autonomic control plane, or nullptr when options.ctrl.enabled is
   // false. Exposes detector state (Health/Epoch/HeartbeatAge) and stats.
@@ -296,17 +305,11 @@ class SymphonyCluster : private ClusterControl {
   const std::string& Output(const ClusterLip& id) const;
   bool Done(const ClusterLip& id) const;
 
-  // Cluster-wide aggregates.
-  struct ClusterSnapshot {
-    double total_throughput_busy = 0.0;  // Sum of device busy fractions.
-    uint64_t batches = 0;
-    uint64_t lips_completed = 0;
-    std::vector<uint64_t> lips_per_replica;
-    size_t replicas_dead = 0;
+  // The counters the cluster keeps itself (everything else in a snapshot is
+  // aggregated from replicas and subsystems when Snapshot() runs).
+  struct ClusterCounters {
     uint64_t failovers = 0;    // LIPs replayed because their replica died.
     uint64_t migrations = 0;   // Migrate/Rebalance moves.
-    uint64_t lips_replayed = 0;
-    uint64_t replay_divergences = 0;
     uint64_t overflow_events = 0;      // kAffinityBounded hot-key overflows.
     uint64_t overflow_rebalances = 0;  // Rebalances those overflows triggered.
     // Snapshot store consumers.
@@ -324,6 +327,22 @@ class SymphonyCluster : private ClusterControl {
     // Cluster admission tier.
     uint64_t submit_reroutes = 0;       // Rejections salvaged elsewhere.
     uint64_t submit_sheds = 0;          // Rejected by every live replica.
+    // Prefill/decode disaggregation.
+    uint64_t disagg_prefill_routes = 0;   // Launches steered to the prefill pool.
+    uint64_t disagg_handoffs = 0;         // Prefill->decode migrations shipped.
+    uint64_t disagg_handoff_skips = 0;    // Handoffs declined (cost gate,
+                                          // no placeable target, or raced).
+  };
+
+  // Cluster-wide aggregates.
+  struct ClusterSnapshot : ClusterCounters {
+    double total_throughput_busy = 0.0;  // Sum of device busy fractions.
+    uint64_t batches = 0;
+    uint64_t lips_completed = 0;
+    std::vector<uint64_t> lips_per_replica;
+    size_t replicas_dead = 0;
+    uint64_t lips_replayed = 0;
+    uint64_t replay_divergences = 0;
     // Cluster IPC fabric (src/net).
     uint64_t ipc_sent = 0;              // Messages accepted from senders.
     uint64_t ipc_received = 0;          // Messages delivered to receivers.
@@ -371,11 +390,6 @@ class SymphonyCluster : private ClusterControl {
     uint64_t prefill_tokens_batched = 0;
     uint64_t prefill_chunks = 0;          // Chunk launches of split prefills.
     uint64_t prefills_chunked = 0;        // Prefills split at least once.
-    // Prefill/decode disaggregation.
-    uint64_t disagg_prefill_routes = 0;   // Launches steered to the prefill pool.
-    uint64_t disagg_handoffs = 0;         // Prefill->decode migrations shipped.
-    uint64_t disagg_handoff_skips = 0;    // Handoffs declined (cost gate,
-                                          // no placeable target, or raced).
   };
   ClusterSnapshot Snapshot() const;
 
@@ -413,37 +427,72 @@ class SymphonyCluster : private ClusterControl {
   bool ControlDrainComplete(size_t replica) override;
   LoadSignal ControlLoadSignal() const override;
 
+  // One replica slot. Readmission rebuilds the server in place; the slot
+  // keeps its role and launch count.
+  struct Slot {
+    std::unique_ptr<SymphonyServer> server;
+    ReplicaRole role = ReplicaRole::kUnified;
+    uint64_t launched = 0;  // Launches placed here (lips_per_replica).
+    bool dead = false;
+    bool draining = false;  // Scale-in: no placement, migrating off.
+    bool fenced = false;    // Fenced by the control plane (epoch bump).
+    bool crashed = false;   // Process down (FaultPlan crash).
+    bool retired = false;   // Manual kill / detached: never readmitted.
+    SimTime heal_at = -1;   // When a crash heals; -1: permanent.
+  };
+
   // Builds the SymphonyServer for slot `index` with the cluster's
   // per-replica seed decorrelation (also what readmission rebuilds from).
   std::unique_ptr<SymphonyServer> BuildReplica(size_t index) const;
+  // Connects slot `index`'s freshly built server to the cluster: IPC fabric
+  // runtime hookup, credit backpressure, and the disaggregation hook. The
+  // caller attaches (or revives) the slot in the fabric first.
+  void WireReplica(size_t index);
   // Replica `index` accepts new placements (not dead, draining, or halted).
   bool Placeable(size_t index) const;
   // Routing should avoid `index` (control plane suspects it is failing).
   bool Avoided(size_t index) const;
+  // Live LIPs on replica `index`.
+  size_t Load(size_t index) const;
+  // Live LIPs per replica; SIZE_MAX for replicas that are not placeable.
+  std::vector<size_t> PlaceableLoads() const;
+  // The replica with the smallest rank(i) (an optional ordered value), the
+  // lowest index on ties; kNoReplica when rank is nullopt for every replica.
+  template <typename Rank>
+  size_t Pick(Rank rank) const;
+  // Routing's rank: serve pool first, healthy before suspected, then
+  // `order`; nullopt when `index` is not placeable.
+  std::optional<std::tuple<bool, bool, size_t>> RouteRank(size_t index,
+                                                          size_t order) const;
+  // Routing's picks by load and by rotation from `preferred`; kNoReplica
+  // when nothing is placeable.
+  size_t LeastLoaded() const;
+  size_t FirstLiveFrom(size_t preferred) const;
+  // Failover/rebalance pick: least `planned` load (SIZE_MAX = unusable),
+  // then topology distance from `from`. kNoReplica when all are unusable.
+  size_t ClosestLeastPlanned(const std::vector<size_t>& planned,
+                             size_t from) const;
   // Shared guts of KillReplica and ControlFailover: marks the replica dead
   // and fails its journaled LIPs over to placeable survivors.
   Status FailReplica(size_t index);
   // Migrates every undone LIP hosted on draining replica `index` away.
   void DrainStep(size_t index);
+  // Undone, not-in-flight LIPs still running on replica `index`, by uid
+  // (placement must not depend on records_' unordered iteration).
+  std::vector<uint64_t> HostedLips(size_t index) const;
   // LIPs stranded on dead replicas with no failover in flight (a failover
   // that found no placeable survivor leaves them behind), sorted by uid.
   std::vector<uint64_t> StrandedLips() const;
   // Completion chain for manual drains without a control plane.
   void PollDrain(size_t index);
 
-  size_t LeastLoaded() const;
-  size_t FirstLiveFrom(size_t preferred) const;
   // Replica `index` belongs to the general placement pool (decode/unified).
   // Prefill-role replicas are excluded so a decode stream never lands behind
   // another LIP's giant prefill; they remain a last resort when nothing in
   // the serve pool is placeable.
   bool InServePool(size_t index) const;
-  bool HasPrefillPool() const;
-  // Least-loaded placeable prefill-role replica, or kNoReplica.
-  size_t LeastLoadedPrefill() const;
   // Wires the prefill-completion handoff hook into replica `index`'s
   // scheduler (no-op unless the slot is prefill-role with recovery on).
-  // Re-run wherever the slot's server is (re)built.
   void InstallDisaggHook(size_t index);
   // Prefill finished on a prefill-role replica: publish the KV through the
   // snapshot store and migrate the LIP to the least-loaded decode-pool
@@ -470,7 +519,6 @@ class SymphonyCluster : private ClusterControl {
                              size_t replica);
   void ScheduleRebalance(SimDuration period);
   void SchedulePrefixSharing(SimDuration period);
-  size_t LiveLipsTotal() const;
 
   Simulator* sim_;
   ClusterOptions options_;
@@ -478,31 +526,20 @@ class SymphonyCluster : private ClusterControl {
   std::unique_ptr<NetworkTopology> topology_;
   std::unique_ptr<SnapshotStore> store_;
   std::unique_ptr<IpcFabric> fabric_;
-  std::vector<std::unique_ptr<SymphonyServer>> replicas_;
+  std::vector<Slot> slots_;
   // Replaced server incarnations (readmission rebuilds the slot). Kept
   // alive, not destroyed: halted runtimes may still be named by pending
   // simulator events and late completions.
   std::vector<std::unique_ptr<SymphonyServer>> retired_servers_;
   mutable size_t next_round_robin_ = 0;
-  std::vector<uint64_t> launched_per_replica_;
-  std::vector<bool> dead_;
-  std::vector<bool> draining_;   // Scale-in: no placement, migrating off.
-  std::vector<bool> fenced_;     // Fenced by the control plane (epoch bump).
-  std::vector<bool> crashed_;    // Process down (FaultPlan crash).
-  std::vector<bool> retired_;    // Manual kill / detached: never readmitted.
-  std::vector<SimTime> crash_heal_at_;  // -1: permanent.
-  // Per-slot roles, kept index-aligned with replicas_ (scale-out appends the
-  // hotter pool's role; readmission keeps the slot's original role).
-  std::vector<ReplicaRole> roles_;
   std::unordered_map<uint64_t, LipRecord> records_;
   uint64_t next_uid_ = 1;
-  uint64_t failovers_ = 0;
-  uint64_t migrations_ = 0;
+  // Mutable: RouteFor is const, and its counters (overflows, prefill routes)
+  // are routing observability, not routing state.
+  mutable ClusterCounters counters_;
   // Overflow-driven rebalance state (mutable: see NoteOverflow).
-  mutable uint64_t overflow_events_ = 0;
   mutable uint32_t overflow_in_window_ = 0;
   mutable SimTime overflow_window_start_ = 0;
-  uint64_t overflow_rebalances_ = 0;
   SimTime last_overflow_rebalance_ = -1;
   RebalanceHook rebalance_hook_;
   // Snapshot-store consumer state.
@@ -511,24 +548,6 @@ class SymphonyCluster : private ClusterControl {
     uint64_t tokens = 0;   // File length at publish (skip unchanged files).
   };
   std::unordered_map<std::string, SharedPrefix> shared_prefixes_;
-  uint64_t checkpoints_ = 0;
-  uint64_t checkpoint_entries_folded_ = 0;
-  uint64_t delta_ships_ = 0;
-  uint64_t full_ships_ = 0;
-  uint64_t ship_bytes_ = 0;
-  uint64_t rehydrate_retries_ = 0;
-  uint64_t prefix_publishes_ = 0;
-  uint64_t warm_imports_ = 0;
-  uint64_t warm_import_tokens_ = 0;
-  uint64_t warm_skips_cost_ = 0;
-  uint64_t warm_corrupt_fallbacks_ = 0;
-  uint64_t submit_reroutes_ = 0;
-  uint64_t submit_sheds_ = 0;
-  // Disaggregation observability (mutable: RouteFor is const, see
-  // NoteOverflow for the precedent).
-  mutable uint64_t disagg_prefill_routes_ = 0;
-  uint64_t disagg_handoffs_ = 0;
-  uint64_t disagg_handoff_skips_ = 0;
   // Declared last: the control plane's loops call back into everything
   // above, so it must be destroyed first.
   std::unique_ptr<ControlPlane> ctrl_;

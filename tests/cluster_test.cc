@@ -1,5 +1,5 @@
-// Tests for SymphonyCluster: routing policies, namespace isolation, and
-// aggregate accounting.
+// Tests for SymphonyCluster: routing policies, placement order, namespace
+// isolation, and aggregate accounting.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -136,6 +136,90 @@ TEST(ClusterTest, ReplicasShareTheVirtualClock) {
   EXPECT_GE(t0, Millis(10));
   EXPECT_GE(t1, Millis(20));
   EXPECT_GE(sim.now(), Millis(20));
+}
+
+// ---- Placement order ----------------------------------------------------
+
+LipProgram Sleeper(SimDuration how_long) {
+  return [how_long](LipContext& ctx) -> Task {
+    co_await ctx.sleep(how_long);
+    co_return;
+  };
+}
+
+TEST(PlacementTest, RoundRobinSkipsKilledReplicaAndWraps) {
+  Simulator sim;
+  SymphonyCluster cluster(&sim, TinyCluster(3, RoutingPolicy::kRoundRobin));
+  EXPECT_EQ(cluster.RouteFor(""), 0u);
+  ASSERT_TRUE(cluster.KillReplica(1).ok());
+  EXPECT_EQ(cluster.RouteFor(""), 2u);  // 1 is next in rotation but dead.
+  EXPECT_EQ(cluster.RouteFor(""), 0u);  // Wraps past the end.
+  EXPECT_EQ(cluster.RouteFor(""), 2u);
+}
+
+TEST(PlacementTest, AffinityKeyWithDeadHomeRoutesToNextLiveReplica) {
+  Simulator sim;
+  SymphonyCluster cluster(&sim, TinyCluster(3, RoutingPolicy::kCacheAffinity));
+  const std::string key = "topic-3";
+  size_t home = static_cast<size_t>(Fnv1a(key) % 3);
+  ASSERT_EQ(cluster.RouteFor(key), home);
+  ASSERT_TRUE(cluster.KillReplica(home).ok());
+  EXPECT_EQ(cluster.RouteFor(key), (home + 1) % 3);
+  ASSERT_TRUE(cluster.KillReplica((home + 1) % 3).ok());
+  EXPECT_EQ(cluster.RouteFor(key), (home + 2) % 3);
+}
+
+TEST(PlacementTest, UnhintedLaunchFallsBackToPrefillPoolWhenDecodePoolIsDead) {
+  Simulator sim;
+  ClusterOptions options = TinyCluster(3, RoutingPolicy::kLeastLoaded);
+  options.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode,
+                   ReplicaRole::kDecode};
+  SymphonyCluster cluster(&sim, options);
+  EXPECT_NE(cluster.RouteFor(""), 0u);  // Serve pool first while it lives.
+  ASSERT_TRUE(cluster.KillReplica(1).ok());
+  ASSERT_TRUE(cluster.KillReplica(2).ok());
+  SymphonyCluster::ClusterLip lip =
+      cluster.Launch("orphan", "", Sleeper(Millis(1)));
+  EXPECT_EQ(lip.replica, 0u);
+  sim.Run();
+  EXPECT_TRUE(cluster.Done(lip));
+}
+
+TEST(PlacementTest, KillSpreadsVictimsByPlannedLoadLowestIndexOnTies) {
+  Simulator sim;
+  ClusterOptions options = TinyCluster(4, RoutingPolicy::kRoundRobin);
+  options.enable_recovery = true;
+  SymphonyCluster cluster(&sim, options);
+  // Round robin over 7 launches: replicas 0..2 host two LIPs, replica 3 one.
+  std::vector<SymphonyCluster::ClusterLip> lips;
+  for (int i = 0; i < 7; ++i) {
+    lips.push_back(cluster.Launch("lip" + std::to_string(i), "",
+                                  Sleeper(Seconds(10))));
+  }
+  ASSERT_EQ(lips[0].replica, 0u);
+  ASSERT_EQ(lips[4].replica, 0u);
+  sim.RunUntil(Millis(1));
+  ASSERT_TRUE(cluster.KillReplica(0).ok());
+  sim.RunUntil(Millis(100));  // Let both journals ship and replay start.
+  // Victims are placed in uid order: the first goes to the only replica
+  // with one LIP (3); then replicas 1..3 all plan two and the lowest wins.
+  EXPECT_EQ(cluster.Locate(lips[0]).replica, 3u);
+  EXPECT_EQ(cluster.Locate(lips[4]).replica, 1u);
+  EXPECT_EQ(cluster.Snapshot().failovers, 2u);
+}
+
+TEST(PlacementTest, AddReplicaAppendsUnifiedSlotWithNoLaunches) {
+  Simulator sim;
+  SymphonyCluster cluster(&sim, TinyCluster(2, RoutingPolicy::kRoundRobin));
+  cluster.Launch("a", "", Sleeper(Millis(1)));
+  cluster.Launch("b", "", Sleeper(Millis(1)));
+  EXPECT_EQ(cluster.AddReplica(), 2u);
+  EXPECT_EQ(cluster.replica_count(), 3u);
+  EXPECT_EQ(cluster.RoleOf(2), ReplicaRole::kUnified);
+  EXPECT_FALSE(cluster.replica_dead(2));
+  std::vector<uint64_t> launched = cluster.Snapshot().lips_per_replica;
+  EXPECT_EQ(launched, (std::vector<uint64_t>{1, 1, 0}));
+  sim.Run();
 }
 
 // ---- Cluster admission tier (reroute before shed) -----------------------

@@ -428,6 +428,21 @@ TEST(PoissonPolicyTest, LowRateLaunchesImmediately) {
   EXPECT_TRUE(policy.ShouldLaunch(input).launch);
 }
 
+TEST(PoissonPolicyTest, RecheckNeverOvershootsBudgetBelowMinimumGap) {
+  // 20us of budget left is below the 50us minimum gap: the remaining budget
+  // wins, so the recheck lands exactly at max_wait.
+  PoissonAdaptivePolicy policy(Millis(50));
+  BatchPolicyInput input;
+  input.queue_size = 1;
+  input.oldest_wait = Millis(50) - Micros(20);
+  input.arrival_rate_per_sec = 5.0;  // 200ms gap, far past the budget.
+  input.est_batch_time = Seconds(1);  // Expects 5 arrivals: keep waiting.
+  input.max_batch = 32;
+  BatchDecision d = policy.ShouldLaunch(input);
+  EXPECT_FALSE(d.launch);
+  EXPECT_EQ(d.recheck_after, Micros(20));
+}
+
 TEST(SizeTimeoutPolicyTest, EmptyQueueWaitsFullTimeout) {
   SizeTimeoutPolicy policy(4, Millis(100));
   BatchPolicyInput input;
