@@ -2,33 +2,54 @@
 # Behaviour diff between two builds of this repo.
 #
 # Usage: bench/diff_outputs.sh BASE_BUILD HEAD_BUILD [OUT_DIR]
-#        bench/diff_outputs.sh --list   (the bench targets it needs built)
+#        bench/diff_outputs.sh --list   (the targets it needs built)
 #
-# Runs the deterministic virtual-time benches below from both CMake build
-# trees and `diff -u`s their stdout. These benches print no host-time
-# fields, so two runs of one build are byte-identical and any difference
-# is a behaviour change. Exits 1 on any difference (2 on a missing binary or
-# a bench that fails to run). The diffs land in OUT_DIR (default: a temp
-# dir), one <bench>.diff per differing bench, and are echoed to stdout.
+# Runs the deterministic virtual-time benches and examples below from both
+# CMake build trees and `diff -u`s their stdout. These programs print no
+# host-time fields, so two runs of one build are byte-identical and any
+# difference is a behaviour change. Left out: bench_overload (about 20
+# CPU-minutes) and bench_kvfs_micro (host timings). Exits 1 on any
+# difference (2 on a missing binary or a program that crashes). The diffs
+# land in OUT_DIR (default: a temp dir), one <program>.diff per differing
+# program, and are echoed to stdout.
 #
 # Comparing two builds made with the same toolchain avoids committing golden
 # files whose floating-point formatting could differ between compilers.
 set -u
 
-benches=(
-  bench_cluster_scaling
-  bench_migration
-  bench_ipc
-  bench_control_plane
-  bench_disaggregation
-  bench_recovery
-  bench_fairness
-  bench_batch_policy
-  bench_fig3_rag
+# Paths relative to a build tree; the basename is the CMake target.
+programs=(
+  bench/bench_cluster_scaling
+  bench/bench_migration
+  bench/bench_ipc
+  bench/bench_control_plane
+  bench/bench_disaggregation
+  bench/bench_recovery
+  bench/bench_fairness
+  bench/bench_batch_policy
+  bench/bench_fig3_rag
+  bench/bench_constrained
+  bench/bench_context_prune
+  bench/bench_fork_vs_recompute
+  bench/bench_function_calling
+  bench/bench_io_offload
+  bench/bench_kv_policy
+  bench/bench_prompt_layout
+  bench/bench_speculative
+  examples/beam_search
+  examples/constrained_json
+  examples/fault_tolerant_agent
+  examples/function_calling
+  examples/multi_agent
+  examples/quickstart
+  examples/rag_cache
+  examples/recursion_of_thought
+  examples/tree_of_thought
+  examples/watermark
 )
 
 if [ "${1:-}" = "--list" ]; then
-  echo "${benches[@]}"
+  echo "${programs[@]##*/}"
   exit 0
 fi
 if [ $# -lt 2 ]; then
@@ -41,18 +62,19 @@ out=${3:-$(mktemp -d)}
 mkdir -p "$out"
 
 status=0
-for bench in "${benches[@]}"; do
+for program in "${programs[@]}"; do
+  bench=${program##*/}
   for tree in "$base" "$head"; do
-    if [ ! -x "$tree/bench/$bench" ]; then
-      echo "missing $tree/bench/$bench" >&2
+    if [ ! -x "$tree/$program" ]; then
+      echo "missing $tree/$program" >&2
       exit 2
     fi
   done
-  # A self-gating bench (bench_disaggregation) may exit nonzero; its
+  # A self-gating program (bench_disaggregation) may exit nonzero; its
   # output and exit code are still compared, so only a crash is an error.
-  "$base/bench/$bench" > "$out/$bench.base.txt" 2>&1
+  "$base/$program" > "$out/$bench.base.txt" 2>&1
   base_rc=$?
-  "$head/bench/$bench" > "$out/$bench.head.txt" 2>&1
+  "$head/$program" > "$out/$bench.head.txt" 2>&1
   head_rc=$?
   if [ "$base_rc" -gt 128 ] || [ "$head_rc" -gt 128 ]; then
     echo "$bench crashed (base exit $base_rc, head exit $head_rc)" >&2

@@ -14,7 +14,6 @@ IpcFabric::IpcFabric(Simulator* sim, const CostModel* cost, FaultPlan* faults,
                      TraceRecorder* trace, IpcFabricOptions options,
                      NetworkTopology* topology)
     : sim_(sim),
-      cost_(cost),
       faults_(faults),
       trace_(trace),
       options_(options),

@@ -104,8 +104,7 @@ struct IpcFabricOptions {
   double retry_jitter = 0.2;
   uint64_t seed = 0x1Bc;
   // Credit capacity applied to every channel at creation; 0 = unbounded
-  // (legacy behaviour: send never blocks). SetChannelCredits overrides per
-  // channel.
+  // (send never blocks). SetChannelCredits overrides per channel.
   uint64_t channel_credits = 0;
   // Admission backpressure: each sender parked for a credit on a replica
   // inflates that replica's projected queue delay by this much (see
@@ -326,7 +325,6 @@ class IpcFabric : public ChannelFabric {
   SimDuration RetryDelay(const std::string& name, const Message& msg) const;
 
   Simulator* sim_;
-  const CostModel* cost_;
   FaultPlan* faults_;  // Optional.
   TraceRecorder* trace_;  // Optional.
   IpcFabricOptions options_;

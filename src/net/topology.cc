@@ -32,19 +32,11 @@ NetworkTopology::NetworkTopology(Simulator* sim, const CostModel* cost,
                                          : (replicas + 1) / 2;
   split = std::min(split, replicas);
   options_.rack_split = split;
-  double edge_bw = options_.edge_bandwidth > 0 ? options_.edge_bandwidth
-                                               : hw.interconnect_bandwidth;
-  SimDuration edge_lat = options_.edge_latency >= 0
-                             ? options_.edge_latency
-                             : hw.interconnect_latency / 2;
+  edge_bw_ = hw.interconnect_bandwidth;
+  edge_lat_ = hw.interconnect_latency / 2;
   double up_bw = options_.uplink_bandwidth > 0 ? options_.uplink_bandwidth
                                                : hw.interconnect_bandwidth;
-  SimDuration up_lat = options_.uplink_latency >= 0 ? options_.uplink_latency
-                                                    : hw.interconnect_latency;
-  double spine_bw = options_.spine_bandwidth > 0 ? options_.spine_bandwidth
-                                                 : up_bw;
-  SimDuration spine_lat =
-      options_.spine_latency >= 0 ? options_.spine_latency : 4 * up_lat;
+  SimDuration up_lat = hw.interconnect_latency;
 
   replica_count_ = replicas;
   for (size_t i = 0; i < replicas; ++i) {
@@ -57,20 +49,18 @@ NetworkTopology::NetworkTopology(Simulator* sim, const CostModel* cost,
   names_.push_back("rack1");
   adj_.resize(names_.size() + (options_.spine ? 1 : 0));
   for (size_t i = 0; i < replicas; ++i) {
-    AddBidirectionalEdge(i, i < split ? rack0 : rack1, edge_bw, edge_lat);
+    AddBidirectionalEdge(i, i < split ? rack0 : rack1, edge_bw_, edge_lat_);
   }
   rack0_node_ = rack0;
   rack1_node_ = rack1;
   rack_members_[0] = split;
   rack_members_[1] = replicas - split;
-  edge_bw_ = edge_bw;
-  edge_lat_ = edge_lat;
   AddBidirectionalEdge(rack0, rack1, up_bw, up_lat);
   if (options_.spine) {
     size_t spine = names_.size();
     names_.push_back("spine");
-    AddBidirectionalEdge(rack0, spine, spine_bw, spine_lat);
-    AddBidirectionalEdge(spine, rack1, spine_bw, spine_lat);
+    AddBidirectionalEdge(rack0, spine, up_bw, 4 * up_lat);
+    AddBidirectionalEdge(spine, rack1, up_bw, 4 * up_lat);
   }
 }
 

@@ -76,20 +76,15 @@ struct TopologyOptions {
   // kTwoRack: replicas [0, rack_split) sit under "rack0", the rest under
   // "rack1". 0 = split in half (first rack rounded up).
   size_t rack_split = 0;
-  // Per-link parameter overrides. Bandwidth <= 0 / latency < 0 = derive from
-  // HardwareConfig::interconnect_*: edges default to full bandwidth at HALF
-  // the interconnect latency (edge + edge latency == the single-switch
-  // one-way latency), the uplink to full bandwidth at the full latency.
-  double edge_bandwidth = 0;        // Replica <-> rack switch.
-  SimDuration edge_latency = -1;
-  double uplink_bandwidth = 0;      // rack0 <-> rack1.
-  SimDuration uplink_latency = -1;
-  // kTwoRack redundancy: a spare path rack0 <-> spine <-> rack1, strictly
-  // worse than the uplink by default (4x uplink latency per hop), used only
-  // when a link-down window takes the primary uplink out.
+  // Link parameters derive from HardwareConfig::interconnect_*: edges
+  // (replica <-> rack switch) run at full bandwidth and HALF the
+  // interconnect latency (edge + edge latency == the single-switch one-way
+  // latency), the rack0 <-> rack1 uplink at the full latency.
+  double uplink_bandwidth = 0;  // Uplink override; <= 0 = interconnect's.
+  // kTwoRack redundancy: a spare path rack0 <-> spine <-> rack1 at uplink
+  // bandwidth, strictly worse than the uplink (4x uplink latency per hop),
+  // used only when a link-down window takes the primary uplink out.
   bool spine = false;
-  double spine_bandwidth = 0;       // <= 0: uplink bandwidth.
-  SimDuration spine_latency = -1;   // < 0: 4x uplink latency (per hop).
 };
 
 struct TopologyStats {

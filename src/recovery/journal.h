@@ -19,29 +19,23 @@
 //   * tools    — entry per completed call: status + output payload.
 //   * sleep    — entry per completed sleep; replay skips the wait.
 //   * IPC recv — entry per delivered message (channel + per-channel receive
-//                ordinal + payload). Two disciplines, chosen by whether a
-//                cluster IPC fabric (src/net) is attached:
-//                  - standalone runtime: replay re-executes IPC naturally
-//                    (co-replayed LIPs re-send and re-receive through real
-//                    channels) and uses the recorded payload only to detect
-//                    divergence;
-//                  - cluster fabric: recv is served verbatim from the journal
-//                    (same discipline as tool results), so ONE endpoint of a
-//                    cross-replica pair can be killed and replayed while the
-//                    other keeps running live.
-//   * IPC send — fabric mode only: entry per send (channel + payload).
-//                Replay consumes and SUPPRESSES the send — the original
-//                message already reached (or is queued for) the peer, and
-//                re-sending would duplicate it. Standalone replay has no
-//                kSend entries and re-sends through real channels.
-//   * IPC credit wait — fabric mode only: when a send blocked on channel
-//                credits, an entry (channel + grant ordinal) is appended at
-//                the moment the fabric granted the credit, immediately
-//                before the kSend entry. Replay consumes the pair without
-//                re-parking; the grant ordinal re-parks any FOLLOWING live
-//                blocked send at its original position in the channel's
-//                sender FIFO, so blocked-sender wakeup order is bit-identical
-//                (the same discipline as kRecv resume ordinals).
+//                ordinal + payload). Replay serves the recv verbatim from
+//                the journal (same discipline as tool results) without
+//                touching the IPC fabric (src/net), so ONE endpoint of a
+//                pair can be killed and replayed while the other keeps
+//                running live.
+//   * IPC send — entry per send (channel + payload). Replay consumes and
+//                SUPPRESSES the send — the original message already reached
+//                (or is queued for) the peer, and re-sending would
+//                duplicate it.
+//   * IPC credit wait — when a send blocked on channel credits, an entry
+//                (channel + grant ordinal) is appended at the moment the
+//                fabric granted the credit, immediately before the kSend
+//                entry. Replay consumes the pair without re-parking; the
+//                grant ordinal re-parks any FOLLOWING live blocked send at
+//                its original position in the channel's sender FIFO, so
+//                blocked-sender wakeup order is bit-identical (the same
+//                discipline as kRecv resume ordinals).
 //   * RNG      — replayed by reseeding: the journal stores the LIP's rng
 //                seed and the program re-draws the identical stream, so
 //                individual draws need no log entries.
@@ -73,6 +67,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -110,6 +105,17 @@ inline const char* RecoveryModeName(RecoveryMode mode) {
   }
   return "?";
 }
+
+// Per-LIP resource limits (paper §6: "resource accounting" for untrusted
+// programs). Defaults are unlimited; the admin LIP is never limited.
+struct LipQuota {
+  uint64_t max_pred_tokens = UINT64_MAX;  // Total tokens across all preds.
+  uint64_t max_tool_calls = UINT64_MAX;
+  uint32_t max_threads = UINT32_MAX;      // Threads spawned over the lifetime.
+  uint64_t max_kv_pages = UINT64_MAX;     // Page references held in KVFS.
+
+  bool operator==(const LipQuota&) const = default;
+};
 
 struct JournalEntry {
   enum class Kind : uint8_t { kPred, kTool, kSleep, kRecv, kSend, kCreditWait };
@@ -149,11 +155,7 @@ class SyscallJournal {
   uint64_t rng_seed = 0;
   // Quota captured at SetQuota time so a replayed LIP resumes under the same
   // limits (usage itself is rebuilt by re-execution — see runtime.cc).
-  bool has_quota = false;
-  uint64_t quota_max_pred_tokens = UINT64_MAX;
-  uint64_t quota_max_tool_calls = UINT64_MAX;
-  uint32_t quota_max_threads = UINT32_MAX;
-  uint64_t quota_max_kv_pages = UINT64_MAX;
+  std::optional<LipQuota> quota;
   // Absolute deadline captured at SetDeadline time: recovery re-arms it so a
   // replayed LIP cannot outlive the budget its original admission granted.
   // (Replay itself is exempt from rejection while the log serves — see

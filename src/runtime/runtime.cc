@@ -1,6 +1,7 @@
 #include "src/runtime/runtime.h"
 
 #include <cassert>
+#include <optional>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -180,14 +181,7 @@ void LipRuntime::OnThreadExit(Tcb& tcb) {
 
   if (proc.live_threads == 0) {
     // Process exit: release kernel resources the LIP left open.
-    for (KvHandle handle : proc.open_handles) {
-      Status st = kvfs_->Close(handle);
-      if (!st.ok()) {
-        SYMPHONY_LOG(kDebug) << "lip " << proc.id
-                             << " exit close failed: " << st.ToString();
-      }
-    }
-    proc.open_handles.clear();
+    CloseHandles(proc);
     proc.done = true;
     --live_lips_;
     ++stats_.lips_completed;
@@ -211,11 +205,7 @@ void LipRuntime::SetQuota(LipId lip, LipQuota quota) {
   Process& proc = GetProcess(lip);
   proc.quota = quota;
   if (proc.journal != nullptr) {
-    proc.journal->has_quota = true;
-    proc.journal->quota_max_pred_tokens = quota.max_pred_tokens;
-    proc.journal->quota_max_tool_calls = quota.max_tool_calls;
-    proc.journal->quota_max_threads = quota.max_threads;
-    proc.journal->quota_max_kv_pages = quota.max_kv_pages;
+    proc.journal->quota = quota;
   }
 }
 
@@ -240,11 +230,7 @@ void LipRuntime::ExpireDeadline(LipId lip, SimTime deadline) {
   if (halted_) {
     return;
   }
-  auto it = processes_.find(lip);
-  if (it == processes_.end()) {
-    return;
-  }
-  Process& proc = it->second;
+  Process& proc = GetProcess(lip);
   // Stale event: the LIP exited, was detached, or the deadline was re-armed.
   if (proc.done || proc.expired || proc.deadline != deadline) {
     return;
@@ -252,22 +238,34 @@ void LipRuntime::ExpireDeadline(LipId lip, SimTime deadline) {
   proc.expired = true;
   ++stats_.deadlines_expired;
   SYMPHONY_LOG(kDebug) << "lip " << lip << " deadline expired";
-  // Cancellation and KV teardown are deferred while replay is consuming the
-  // journal: re-executed preds and KV operations must complete so the LIP
-  // reaches its pre-failure point (FinishReplay runs the teardown then).
+  // Teardown is deferred while replay is consuming the journal: re-executed
+  // preds and KV operations must complete so the LIP reaches its pre-failure
+  // point (FinishReplay runs the teardown then).
   if (proc.replay == nullptr || proc.replay->complete) {
-    // Cancel queued/retry-pending preds so the LIP stops consuming decode
-    // capacity; requests already inside a running batch drain normally.
-    if (pred_service_ != nullptr) {
-      pred_service_->CancelLip(lip);
-    }
-    // Release the LIP's KV page quota now rather than at exit — an expired
-    // LIP must not hold device pages against live work.
-    for (KvHandle handle : proc.open_handles) {
-      (void)kvfs_->Close(handle);
-    }
-    proc.open_handles.clear();
+    Release(proc);
   }
+}
+
+void LipRuntime::Release(Process& proc) {
+  // Cancel queued/retry-pending preds so the LIP stops consuming decode
+  // capacity; requests already inside a running batch drain normally.
+  if (pred_service_ != nullptr) {
+    pred_service_->CancelLip(proc.id);
+  }
+  // Release the LIP's KV page quota now rather than at exit — an expired LIP
+  // must not hold device pages against live work.
+  CloseHandles(proc);
+}
+
+void LipRuntime::CloseHandles(Process& proc) {
+  for (KvHandle handle : proc.open_handles) {
+    Status st = kvfs_->Close(handle);
+    if (!st.ok()) {
+      SYMPHONY_LOG(kDebug) << "lip " << proc.id
+                           << " close failed: " << st.ToString();
+    }
+  }
+  proc.open_handles.clear();
 }
 
 void LipRuntime::EnableJournal(LipId lip,
@@ -280,16 +278,8 @@ void LipRuntime::EnableJournal(LipId lip,
     journal->has_deadline = true;
     journal->deadline = proc.deadline;
   }
-  LipQuota unlimited;
-  if (proc.quota.max_pred_tokens != unlimited.max_pred_tokens ||
-      proc.quota.max_tool_calls != unlimited.max_tool_calls ||
-      proc.quota.max_threads != unlimited.max_threads ||
-      proc.quota.max_kv_pages != unlimited.max_kv_pages) {
-    journal->has_quota = true;
-    journal->quota_max_pred_tokens = proc.quota.max_pred_tokens;
-    journal->quota_max_tool_calls = proc.quota.max_tool_calls;
-    journal->quota_max_threads = proc.quota.max_threads;
-    journal->quota_max_kv_pages = proc.quota.max_kv_pages;
+  if (proc.quota != LipQuota{}) {
+    journal->quota = proc.quota;
   }
   proc.journal = std::move(journal);
 }
@@ -363,22 +353,7 @@ Status LipRuntime::Detach(LipId lip) {
   if (fabric_ != nullptr) {
     fabric_->DropWaiters(replica_index_, lip);
   }
-  for (auto& entry : channels_) {
-    Channel& ch = entry.second;
-    std::deque<std::pair<ThreadId, std::string*>> kept;
-    for (auto& waiter : ch.waiters) {
-      auto tit = threads_.find(waiter.first);
-      if (tit != threads_.end() && tit->second.lip == lip) {
-        continue;
-      }
-      kept.push_back(waiter);
-    }
-    ch.waiters = std::move(kept);
-  }
-  for (KvHandle handle : proc.open_handles) {
-    (void)kvfs_->Close(handle);
-  }
-  proc.open_handles.clear();
+  CloseHandles(proc);
   proc.live_threads = 0;
   proc.join_all_waiters.clear();
   proc.done = true;
@@ -386,14 +361,24 @@ Status LipRuntime::Detach(LipId lip) {
   return Status::Ok();
 }
 
-const JournalEntry* LipRuntime::NextReplayEntry(Process& proc,
-                                                const Tcb& tcb) {
-  return proc.journal->At(tcb.path, proc.replay->cursor[tcb.path]);
+LipRuntime::Tcb* LipRuntime::Waiting(ThreadId thread) {
+  if (halted_) {
+    return nullptr;
+  }
+  auto it = threads_.find(thread);
+  if (it == threads_.end() || it->second.state == ThreadState::kKilled ||
+      it->second.state == ThreadState::kDone) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
-bool LipRuntime::ReplayServes(Process& proc, const Tcb& tcb) {
-  return proc.replay != nullptr && !proc.replay->complete &&
-         NextReplayEntry(proc, tcb) != nullptr;
+const JournalEntry* LipRuntime::NextReplayEntry(Process& proc,
+                                                const Tcb& tcb) {
+  if (proc.replay == nullptr || proc.replay->complete) {
+    return nullptr;
+  }
+  return proc.journal->At(tcb.path, proc.replay->cursor[tcb.path]);
 }
 
 void LipRuntime::ConsumeReplayEntry(Process& proc, const Tcb& tcb) {
@@ -404,20 +389,26 @@ void LipRuntime::ConsumeReplayEntry(Process& proc, const Tcb& tcb) {
   }
 }
 
+const JournalEntry* LipRuntime::Replayed(Process& proc, const Tcb& tcb,
+                                         JournalEntry::Kind kind,
+                                         const char* what) {
+  const JournalEntry* entry = NextReplayEntry(proc, tcb);
+  if (entry != nullptr && entry->kind != kind) {
+    // Per-thread logs are ordered, so the original run's next completed
+    // syscall was this one; anything else is divergence.
+    ReplayDiverged(proc, what);
+    return nullptr;
+  }
+  return entry;
+}
+
 void LipRuntime::FinishReplay(Process& proc, bool diverged) {
   if (proc.replay == nullptr || proc.replay->complete) {
     return;
   }
   proc.replay->complete = true;
   if (proc.expired && !proc.done) {
-    // The deadline fired mid-replay; run the teardown ExpireDeadline deferred.
-    if (pred_service_ != nullptr) {
-      pred_service_->CancelLip(proc.id);
-    }
-    for (KvHandle handle : proc.open_handles) {
-      (void)kvfs_->Close(handle);
-    }
-    proc.open_handles.clear();
+    Release(proc);  // The deadline fired mid-replay; ExpireDeadline deferred.
   }
   if (trace_ != nullptr && proc.replay->total > 0) {
     trace_->Span("recovery",
@@ -436,60 +427,35 @@ void LipRuntime::ReplayDiverged(Process& proc, const char* what) {
   FinishReplay(proc, /*diverged=*/true);
 }
 
-void LipRuntime::JournalRecvDelivery(ThreadId thread,
+void LipRuntime::Record(const Tcb& tcb, JournalEntry entry) {
+  Process& proc = GetProcess(tcb.lip);
+  if (proc.journal != nullptr) {
+    proc.journal->Append(tcb.path, std::move(entry));
+  }
+}
+
+void LipRuntime::JournalRecvDelivery(const Tcb& tcb,
                                      const std::string& channel,
                                      uint64_t ordinal,
                                      const std::string& message) {
-  if (halted_) {
-    return;
-  }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
-    return;
-  }
-  Tcb& tcb = it->second;
   Process& proc = GetProcess(tcb.lip);
-  if (proc.journal == nullptr) {
-    return;
-  }
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      // The ordinal is deliberately not checked: it counts deliveries on the
-      // channel object, which a fresh runtime restarts at zero.
-      if (entry->kind != JournalEntry::Kind::kRecv ||
-          entry->payload != message || entry->channel != channel) {
-        ReplayDiverged(proc, "recv delivery disagrees with journal");
-      } else {
-        ConsumeReplayEntry(proc, tcb);
-      }
-      return;
+  if (const JournalEntry* entry = NextReplayEntry(proc, tcb)) {
+    // The ordinal is deliberately not checked: the fabric's counters are not
+    // rewound by replay.
+    if (entry->kind != JournalEntry::Kind::kRecv ||
+        entry->payload != message || entry->channel != channel) {
+      ReplayDiverged(proc, "recv delivery disagrees with journal");
+    } else {
+      ConsumeReplayEntry(proc, tcb);
     }
+    return;
   }
   JournalEntry entry;
   entry.kind = JournalEntry::Kind::kRecv;
   entry.payload = message;
   entry.channel = channel;
   entry.ordinal = ordinal;
-  proc.journal->Append(tcb.path, std::move(entry));
-}
-
-void LipRuntime::JournalSleepDone(ThreadId thread, SimDuration duration) {
-  if (halted_) {
-    return;
-  }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled) {
-    return;
-  }
-  Process& proc = GetProcess(it->second.lip);
-  if (proc.journal == nullptr) {
-    return;
-  }
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kSleep;
-  entry.duration = duration;
-  proc.journal->Append(it->second.path, std::move(entry));
+  Record(tcb, std::move(entry));
 }
 
 LipUsage LipRuntime::GetUsage(LipId lip) const {
@@ -518,7 +484,7 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   // run where the rejection short-circuits. Suppressed while the journal
   // still serves this thread: the original run's pre-expiry syscalls must
   // replay even though replay's compressed timeline is past the deadline.
-  if (proc.expired && !ReplayServes(proc, tcb)) {
+  if (proc.expired && NextReplayEntry(proc, tcb) == nullptr) {
     ++stats_.deadline_rejections;
     result->status = DeadlineExceededError("deadline expired for lip " +
                                            std::to_string(proc.id));
@@ -536,59 +502,51 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   }
   proc.usage.pred_tokens += tokens.size();
 
-  bool from_journal = false;   // Recompute replay: resubmit, verify, no record.
-  size_t verify_index = 0;
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind != JournalEntry::Kind::kPred) {
-        ReplayDiverged(proc, "pred where journal has a different syscall");
-      } else if (proc.replay->mode == RecoveryMode::kImportSnapshot) {
-        // Feed the journaled result without touching the device; import the
-        // journaled TokenRecords into the KV file on the host tier so the
-        // next live pred's restore pays PCIe transfer instead of recompute.
-        ++stats_.preds_replayed;
+  // Set for a recompute replay: resubmit, verify the journaled entry at this
+  // index on completion, record nothing.
+  std::optional<size_t> verify_index;
+  if (const JournalEntry* entry =
+          Replayed(proc, tcb, JournalEntry::Kind::kPred,
+                   "pred where journal has a different syscall")) {
+    ++stats_.preds_replayed;
+    bool import = proc.replay->mode == RecoveryMode::kImportSnapshot;
+    if (import || !entry->status.ok()) {
+      // Serve the journaled result without touching the device. A journaled
+      // failure (cancelled pred, deadline rejection delivered through the
+      // service) is served verbatim in either mode: resubmitting could
+      // succeed live and diverge. An import replay also imports the
+      // journaled TokenRecords into the KV file on the host tier so the next
+      // live pred's restore pays PCIe transfer instead of recompute.
+      if (import) {
         stats_.replay_tokens_imported += entry->tokens.size();
-        result->status = entry->status;
-        if (entry->status.ok()) {
-          std::vector<TokenRecord> records;
-          records.reserve(entry->tokens.size());
-          for (size_t i = 0; i < entry->tokens.size(); ++i) {
-            records.push_back(
-                {entry->tokens[i], entry->positions[i], entry->states[i]});
-          }
-          Status imported = kvfs_->ImportRecords(kv, records, Tier::kHost);
-          if (!imported.ok()) {
-            result->status = imported;
-          } else {
-            result->dists.reserve(entry->states.size());
-            for (uint64_t state : entry->states) {
-              result->dists.emplace_back(state, proc.replay->config);
-            }
+      }
+      result->status = entry->status;
+      if (entry->status.ok()) {
+        std::vector<TokenRecord> records;
+        records.reserve(entry->tokens.size());
+        for (size_t i = 0; i < entry->tokens.size(); ++i) {
+          records.push_back(
+              {entry->tokens[i], entry->positions[i], entry->states[i]});
+        }
+        Status imported = kvfs_->ImportRecords(kv, records, Tier::kHost);
+        if (!imported.ok()) {
+          result->status = imported;
+        } else {
+          result->dists.reserve(entry->states.size());
+          for (uint64_t state : entry->states) {
+            result->dists.emplace_back(state, proc.replay->config);
           }
         }
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      } else if (!entry->status.ok()) {
-        // kRecompute with a journaled failure (cancelled pred, deadline
-        // rejection delivered through the service): resubmitting could
-        // succeed live and diverge — serve the recorded status verbatim.
-        ++stats_.preds_replayed;
-        result->status = entry->status;
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      } else {
-        // kRecompute: fall through to a live submit so the device rebuilds
-        // the KV cache; completion checks it reproduced the journaled states.
-        from_journal = true;
-        verify_index = proc.replay->cursor[tcb.path];
-        ++stats_.preds_replayed;
-        stats_.replay_tokens_recomputed += entry->tokens.size();
-        ConsumeReplayEntry(proc, tcb);
       }
+      ConsumeReplayEntry(proc, tcb);
+      Ready(thread);
+      return;
     }
+    // kRecompute: submit live so the device rebuilds the KV cache; the
+    // completion checks it reproduced the journaled states.
+    verify_index = proc.replay->cursor[tcb.path];
+    stats_.replay_tokens_recomputed += entry->tokens.size();
+    ConsumeReplayEntry(proc, tcb);
   }
 
   PredRequest request;
@@ -598,34 +556,31 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
   request.tokens = std::move(tokens);
   request.positions = std::move(positions);
   request.submit_time = sim_->now();
-  std::shared_ptr<SyscallJournal> journal = proc.journal;
-  bool record = journal != nullptr && !from_journal;
+  bool record = proc.journal != nullptr && !verify_index;
   std::vector<TokenId> rec_tokens;
   std::vector<int32_t> rec_positions;
   if (record) {
     rec_tokens = request.tokens;
     rec_positions = request.positions;
   }
-  request.complete = [this, thread, result, journal, record, from_journal,
-                      verify_index, path = tcb.path,
+  request.complete = [this, thread, result, record, verify_index,
                       rec_tokens = std::move(rec_tokens),
                       rec_positions = std::move(rec_positions)](
                          PredResult r) mutable {
-    auto it = threads_.find(thread);
-    bool dead = halted_ || it == threads_.end() ||
-                it->second.state == ThreadState::kKilled;
-    if (!dead) {
-      // A pred that was in flight at deadline expiry can fail for a teardown
-      // reason (its KV handle was closed); attribute that to the deadline.
-      // Normalized before journaling so replay serves the same status.
-      Process& owner = GetProcess(it->second.lip);
-      if (owner.expired && !r.status.ok() &&
-          r.status.code() != StatusCode::kDeadlineExceeded) {
-        r.status = DeadlineExceededError("deadline expired for lip " +
-                                         std::to_string(owner.id));
-      }
+    Tcb* waiting = Waiting(thread);
+    if (waiting == nullptr) {
+      return;
     }
-    if (!dead && record) {
+    // A pred that was in flight at deadline expiry can fail for a teardown
+    // reason (its KV handle was closed); attribute that to the deadline.
+    // Normalized before journaling so replay serves the same status.
+    Process& owner = GetProcess(waiting->lip);
+    if (owner.expired && !r.status.ok() &&
+        r.status.code() != StatusCode::kDeadlineExceeded) {
+      r.status = DeadlineExceededError("deadline expired for lip " +
+                                       std::to_string(owner.id));
+    }
+    if (record) {
       JournalEntry entry;
       entry.kind = JournalEntry::Kind::kPred;
       entry.status = r.status;
@@ -635,32 +590,23 @@ void LipRuntime::SubmitPred(ThreadId thread, KvHandle kv,
       for (const Distribution& d : r.dists) {
         entry.states.push_back(d.state());
       }
-      journal->Append(path, std::move(entry));
-    } else if (!dead && from_journal) {
-      const JournalEntry* expect = journal->At(path, verify_index);
-      if (expect == nullptr && journal->FoldedAt(path, verify_index)) {
-        // The entry was folded into a store checkpoint while this recompute
-        // was in flight; its states are durable there, nothing to verify.
-        *result = std::move(r);
-        Ready(thread);
-        return;
-      }
+      Record(*waiting, std::move(entry));
+    } else if (verify_index) {
+      const std::string& path = waiting->path;
+      const JournalEntry* expect = owner.journal->At(path, *verify_index);
       bool match = expect != nullptr &&
                    r.status.code() == expect->status.code() &&
                    r.dists.size() == expect->states.size();
-      if (match) {
-        for (size_t i = 0; i < r.dists.size(); ++i) {
-          if (r.dists[i].state() != expect->states[i]) {
-            match = false;
-            break;
-          }
-        }
+      for (size_t i = 0; match && i < r.dists.size(); ++i) {
+        match = r.dists[i].state() == expect->states[i];
       }
-      if (!match) {
+      // An entry folded into a store checkpoint while this recompute was in
+      // flight has its states durable there: nothing to verify.
+      if (!match && !owner.journal->FoldedAt(path, *verify_index)) {
         ++stats_.replay_divergences;
         SYMPHONY_LOG(kWarning)
             << "recomputed pred diverged from journal (thread path " << path
-            << ", entry " << verify_index << ")";
+            << ", entry " << *verify_index << ")";
       }
     }
     *result = std::move(r);
@@ -681,7 +627,7 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
   Tcb& tcb = GetTcb(thread);
   LipId lip = tcb.lip;
   Process& proc = GetProcess(lip);
-  if (proc.expired && !ReplayServes(proc, tcb)) {
+  if (proc.expired && NextReplayEntry(proc, tcb) == nullptr) {
     ++stats_.deadline_rejections;
     result->status =
         DeadlineExceededError("deadline expired for lip " + std::to_string(lip));
@@ -695,36 +641,28 @@ void LipRuntime::SubmitTool(ThreadId thread, const std::string& tool,
     return;
   }
   ++proc.usage.tool_calls;
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind != JournalEntry::Kind::kTool) {
-        ReplayDiverged(proc, "tool where journal has a different syscall");
-      } else {
-        // Side-effect-free tools re-serve the recorded output instantly.
-        ++stats_.tools_replayed;
-        result->status = entry->status;
-        result->output = entry->payload;
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      }
-    }
+  if (const JournalEntry* entry =
+          Replayed(proc, tcb, JournalEntry::Kind::kTool,
+                   "tool where journal has a different syscall")) {
+    // Side-effect-free tools re-serve the recorded output instantly.
+    ++stats_.tools_replayed;
+    result->status = entry->status;
+    result->output = entry->payload;
+    ConsumeReplayEntry(proc, tcb);
+    Ready(thread);
+    return;
   }
-  std::shared_ptr<SyscallJournal> journal = proc.journal;
   tool_service_->Invoke(
-      lip, thread, tool, args,
-      [this, thread, result, journal, path = tcb.path](ToolResult r) {
-        auto it = threads_.find(thread);
-        bool dead = halted_ || it == threads_.end() ||
-                    it->second.state == ThreadState::kKilled;
-        if (journal != nullptr && !dead) {
-          JournalEntry entry;
-          entry.kind = JournalEntry::Kind::kTool;
-          entry.status = r.status;
-          entry.payload = r.output;
-          journal->Append(path, std::move(entry));
+      lip, thread, tool, args, [this, thread, result](ToolResult r) {
+        Tcb* waiting = Waiting(thread);
+        if (waiting == nullptr) {
+          return;
         }
+        JournalEntry entry;
+        entry.kind = JournalEntry::Kind::kTool;
+        entry.status = r.status;
+        entry.payload = r.output;
+        Record(*waiting, std::move(entry));
         *result = std::move(r);
         Ready(thread);
       });
@@ -734,23 +672,22 @@ void LipRuntime::SubmitSleep(ThreadId thread, SimDuration duration) {
   BlockCurrent();
   Tcb& tcb = GetTcb(thread);
   Process& proc = GetProcess(tcb.lip);
-  if (proc.replay != nullptr && !proc.replay->complete) {
-    const JournalEntry* entry = NextReplayEntry(proc, tcb);
-    if (entry != nullptr) {
-      if (entry->kind != JournalEntry::Kind::kSleep) {
-        ReplayDiverged(proc, "sleep where journal has a different syscall");
-      } else {
-        // The original run already waited this out; skip the wait.
-        ++stats_.sleeps_replayed;
-        ConsumeReplayEntry(proc, tcb);
-        Ready(thread);
-        return;
-      }
-    }
+  if (Replayed(proc, tcb, JournalEntry::Kind::kSleep,
+               "sleep where journal has a different syscall") != nullptr) {
+    // The original run already waited this out; skip the wait.
+    ++stats_.sleeps_replayed;
+    ConsumeReplayEntry(proc, tcb);
+    Ready(thread);
+    return;
   }
   sim_->ScheduleAfter(duration, [this, thread, duration] {
-    JournalSleepDone(thread, duration);
-    Ready(thread);
+    if (Tcb* waiting = Waiting(thread)) {
+      JournalEntry entry;
+      entry.kind = JournalEntry::Kind::kSleep;
+      entry.duration = duration;
+      Record(*waiting, std::move(entry));
+      Ready(thread);
+    }
   });
 }
 
@@ -780,131 +717,94 @@ void LipRuntime::AddJoinAllWaiter(LipId lip, ThreadId waiter) {
   }
 }
 
+namespace {
+
+// Takes the one-shot replay re-park hint for `channel` (0 = none): only the
+// thread's first live park on the channel after its replay uses it.
+uint64_t TakeResumeHint(std::unordered_map<std::string, uint64_t>& hints,
+                        const std::string& channel) {
+  auto node = hints.extract(channel);
+  return node.empty() ? 0 : node.mapped();
+}
+
+}  // namespace
+
 bool LipRuntime::ChannelTrySend(const std::string& channel,
                                 std::string* message) {
-  if (fabric_ != nullptr) {
-    LipId sender = kNoLip;
-    if (current_ != 0) {
-      Tcb& tcb = GetTcb(current_);
-      sender = tcb.lip;
-      Process& proc = GetProcess(tcb.lip);
-      if (proc.replay != nullptr && !proc.replay->complete) {
-        const JournalEntry* entry = NextReplayEntry(proc, tcb);
-        if (entry != nullptr &&
-            entry->kind == JournalEntry::Kind::kCreditWait &&
-            entry->channel == channel) {
-          // The original send parked for a credit granted at this ordinal.
-          // Remember it so this thread's first LIVE blocked send re-parks at
-          // its original sender-FIFO position, then consume the kSend that
-          // the grant completed (next entry, same syscall).
-          tcb.replay_send_resume[channel] = entry->ordinal + 1;
-          ++stats_.ipc_credit_waits_replayed;
-          ConsumeReplayEntry(proc, tcb);
-          entry = NextReplayEntry(proc, tcb);
-        }
-        if (entry != nullptr) {
-          if (entry->kind == JournalEntry::Kind::kSend &&
-              entry->channel == channel && entry->payload == *message) {
-            // The original send already reached (or is queued for) the peer;
-            // re-sending would duplicate it at a live endpoint. No credit is
-            // consumed: the original message's credit travels with it.
-            ++stats_.ipc_sends_suppressed;
-            ++stats_.ipc_messages;
-            ConsumeReplayEntry(proc, tcb);
-            return true;
-          }
-          ReplayDiverged(proc, "send disagrees with journal");
-          // Fall through live: the message is new as far as anyone knows.
-        }
-      }
+  assert(fabric_ != nullptr && "channel syscall without an IPC fabric");
+  Tcb& tcb = GetTcb(current_);
+  Process& proc = GetProcess(tcb.lip);
+  const JournalEntry* entry = NextReplayEntry(proc, tcb);
+  if (entry != nullptr && entry->kind == JournalEntry::Kind::kCreditWait &&
+      entry->channel == channel) {
+    // The original send parked for a credit granted at this ordinal.
+    // Remember it so this thread's first LIVE blocked send re-parks at its
+    // original sender-FIFO position, then consume the kSend that the grant
+    // completed (next entry, same syscall).
+    tcb.replay_send_resume[channel] = entry->ordinal + 1;
+    ++stats_.ipc_credit_waits_replayed;
+    ConsumeReplayEntry(proc, tcb);
+    entry = NextReplayEntry(proc, tcb);
+  }
+  if (entry != nullptr) {
+    if (entry->kind == JournalEntry::Kind::kSend &&
+        entry->channel == channel && entry->payload == *message) {
+      // The original send already reached (or is queued for) the peer;
+      // re-sending would duplicate it at a live endpoint. No credit is
+      // consumed: the original message's credit travels with it.
+      ++stats_.ipc_sends_suppressed;
+      ++stats_.ipc_messages;
+      ConsumeReplayEntry(proc, tcb);
+      return true;
     }
-    // TrySend consumes *message on success, so capture the payload for the
-    // journal first (the original code paid the same copy).
-    std::string payload;
-    bool journal = false;
-    if (current_ != 0 && GetProcess(GetTcb(current_).lip).journal != nullptr) {
-      journal = true;
-      payload = *message;
-    }
-    if (!fabric_->TrySend(replica_index_, sender, channel, message)) {
-      return false;  // Out of credits: park; journaling happens at grant.
-    }
-    ++stats_.ipc_messages;
-    if (current_ != 0) {
-      // Re-fetch: TrySend can drain deliveries that touch thread state.
-      Tcb& tcb = GetTcb(current_);
-      tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
-      if (journal) {
-        JournalEntry entry;
-        entry.kind = JournalEntry::Kind::kSend;
-        entry.channel = channel;
-        entry.payload = std::move(payload);
-        GetProcess(tcb.lip).journal->Append(tcb.path, std::move(entry));
-      }
-    }
-    return true;
+    ReplayDiverged(proc, "send disagrees with journal");
+    // Fall through live: the message is new as far as anyone knows.
+  }
+  // TrySend consumes *message on success, so capture the payload for the
+  // journal first.
+  std::string payload = proc.journal != nullptr ? *message : std::string();
+  if (!fabric_->TrySend(replica_index_, tcb.lip, channel, message)) {
+    return false;  // Out of credits: park; journaling happens at grant.
   }
   ++stats_.ipc_messages;
-  Channel& ch = channels_[channel];
-  if (!ch.waiters.empty()) {
-    auto [waiter, slot] = ch.waiters.front();
-    ch.waiters.pop_front();
-    *slot = std::move(*message);
-    JournalRecvDelivery(waiter, channel, ch.next_ordinal++, *slot);
-    Ready(waiter);
-    return true;
-  }
-  ch.messages.push_back(std::move(*message));
+  tcb.replay_send_resume.erase(channel);  // Completed live: hint stale.
+  JournalEntry sent;
+  sent.kind = JournalEntry::Kind::kSend;
+  sent.payload = std::move(payload);
+  sent.channel = channel;
+  Record(tcb, std::move(sent));
   return true;
 }
 
 void LipRuntime::ChannelAddSendWaiter(const std::string& channel,
                                       ThreadId waiter, std::string* slot) {
   ++stats_.ipc_sends_blocked;
-  LipId sender = kNoLip;
-  uint64_t resume_grant = 0;
-  if (current_ != 0) {
-    Tcb& tcb = GetTcb(waiter);
-    sender = tcb.lip;
-    auto hint = tcb.replay_send_resume.find(channel);
-    if (hint != tcb.replay_send_resume.end()) {
-      resume_grant = hint->second;  // One-shot: first re-park only.
-      tcb.replay_send_resume.erase(hint);
-    }
-  }
-  fabric_->AddSendWaiter(replica_index_, sender, channel, waiter, slot,
-                         resume_grant);
+  Tcb& tcb = GetTcb(waiter);
+  fabric_->AddSendWaiter(replica_index_, tcb.lip, channel, waiter, slot,
+                         TakeResumeHint(tcb.replay_send_resume, channel));
 }
 
 bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
                                      const std::string& channel,
                                      uint64_t grant_ordinal,
                                      std::string* bytes) {
-  if (halted_) {
+  Tcb* tcb = Waiting(thread);
+  if (tcb == nullptr) {
     return false;
   }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled ||
-      it->second.state == ThreadState::kDone) {
-    return false;
-  }
-  Tcb& tcb = it->second;
-  Process& proc = GetProcess(tcb.lip);
-  if (proc.journal != nullptr) {
-    // Journal grant + send in consumption order, at the syscall boundary:
-    // replay consumes the kCreditWait (re-park hint) then the kSend
-    // (suppressed) without ever touching the live fabric.
-    JournalEntry wait;
-    wait.kind = JournalEntry::Kind::kCreditWait;
-    wait.channel = channel;
-    wait.ordinal = grant_ordinal;
-    proc.journal->Append(tcb.path, std::move(wait));
-    JournalEntry send;
-    send.kind = JournalEntry::Kind::kSend;
-    send.channel = channel;
-    send.payload = *slot;
-    proc.journal->Append(tcb.path, std::move(send));
-  }
+  // Journal grant + send in consumption order, at the syscall boundary:
+  // replay consumes the kCreditWait (re-park hint) then the kSend
+  // (suppressed) without ever touching the live fabric.
+  JournalEntry wait;
+  wait.kind = JournalEntry::Kind::kCreditWait;
+  wait.channel = channel;
+  wait.ordinal = grant_ordinal;
+  Record(*tcb, std::move(wait));
+  JournalEntry send;
+  send.kind = JournalEntry::Kind::kSend;
+  send.channel = channel;
+  send.payload = *slot;
+  Record(*tcb, std::move(send));
   ++stats_.ipc_messages;
   ++stats_.ipc_credit_grants;
   *bytes = std::move(*slot);
@@ -912,94 +812,55 @@ bool LipRuntime::CompleteBlockedSend(ThreadId thread, std::string* slot,
   return true;
 }
 
-bool LipRuntime::ChannelTryRecv(const std::string& channel, std::string* message) {
-  if (fabric_ != nullptr) {
-    LipId receiver = kNoLip;
-    if (current_ != 0) {
-      Tcb& tcb = GetTcb(current_);
-      receiver = tcb.lip;
-      Process& proc = GetProcess(tcb.lip);
-      if (proc.replay != nullptr && !proc.replay->complete) {
-        const JournalEntry* entry = NextReplayEntry(proc, tcb);
-        if (entry != nullptr) {
-          if (entry->kind == JournalEntry::Kind::kRecv &&
-              entry->channel == channel) {
-            // Serve the delivery verbatim — the fabric's copy was consumed
-            // by the original incarnation (tool-result discipline). Remember
-            // the ordinal: when this thread's journal runs dry mid-wait, the
-            // fabric uses it to re-park the thread in its original queue
-            // position among this LIP's other waiters.
-            *message = entry->payload;
-            tcb.replay_recv_resume[channel] = entry->ordinal + 1;
-            ++stats_.ipc_recvs_replayed;
-            ConsumeReplayEntry(proc, tcb);
-            return true;
-          }
-          // Per-thread logs are ordered, so the original run's next
-          // completed syscall was this recv; anything else is divergence.
-          // Fall through to a live receive afterwards.
-          ReplayDiverged(proc, "recv where journal has a different syscall");
-        }
-      }
-    }
-    uint64_t ordinal = 0;
-    if (!fabric_->TryRecv(replica_index_, receiver, channel, message,
-                          &ordinal)) {
-      return false;
-    }
-    if (current_ != 0) {
-      // Live delivery: any replay re-park hint is now stale.
-      GetTcb(current_).replay_recv_resume.erase(channel);
-      JournalRecvDelivery(current_, channel, ordinal, *message);
-    }
+bool LipRuntime::ChannelTryRecv(const std::string& channel,
+                                std::string* message) {
+  assert(fabric_ != nullptr && "channel syscall without an IPC fabric");
+  Tcb& tcb = GetTcb(current_);
+  Process& proc = GetProcess(tcb.lip);
+  const char* what = "recv where journal has a different syscall";
+  const JournalEntry* entry =
+      Replayed(proc, tcb, JournalEntry::Kind::kRecv, what);
+  if (entry != nullptr && entry->channel != channel) {
+    ReplayDiverged(proc, what);
+    entry = nullptr;
+  }
+  if (entry != nullptr) {
+    // Serve the delivery verbatim — the fabric's copy was consumed by the
+    // original incarnation (tool-result discipline). Remember the ordinal:
+    // when this thread's journal runs dry mid-wait, the fabric uses it to
+    // re-park the thread in its original queue position among this LIP's
+    // other waiters.
+    *message = entry->payload;
+    tcb.replay_recv_resume[channel] = entry->ordinal + 1;
+    ++stats_.ipc_recvs_replayed;
+    ConsumeReplayEntry(proc, tcb);
     return true;
   }
-  auto it = channels_.find(channel);
-  if (it == channels_.end() || it->second.messages.empty()) {
+  uint64_t ordinal = 0;
+  if (!fabric_->TryRecv(replica_index_, tcb.lip, channel, message, &ordinal)) {
     return false;
   }
-  *message = std::move(it->second.messages.front());
-  it->second.messages.pop_front();
-  if (current_ != 0) {
-    JournalRecvDelivery(current_, channel, it->second.next_ordinal++, *message);
-  }
+  tcb.replay_recv_resume.erase(channel);  // Live delivery: hint stale.
+  JournalRecvDelivery(tcb, channel, ordinal, *message);
   return true;
 }
 
 void LipRuntime::ChannelAddWaiter(const std::string& channel, ThreadId waiter,
                                   std::string* slot) {
-  if (fabric_ != nullptr) {
-    LipId receiver = kNoLip;
-    uint64_t resume_ordinal = 0;
-    if (current_ != 0) {
-      Tcb& tcb = GetTcb(waiter);
-      receiver = tcb.lip;
-      auto hint = tcb.replay_recv_resume.find(channel);
-      if (hint != tcb.replay_recv_resume.end()) {
-        resume_ordinal = hint->second;  // One-shot: first re-park only.
-        tcb.replay_recv_resume.erase(hint);
-      }
-    }
-    fabric_->AddWaiter(replica_index_, receiver, channel, waiter, slot,
-                       resume_ordinal);
-    return;
-  }
-  channels_[channel].waiters.emplace_back(waiter, slot);
+  Tcb& tcb = GetTcb(waiter);
+  fabric_->AddWaiter(replica_index_, tcb.lip, channel, waiter, slot,
+                     TakeResumeHint(tcb.replay_recv_resume, channel));
 }
 
 bool LipRuntime::DeliverToWaiter(ThreadId thread, std::string* slot,
                                  const std::string& channel, uint64_t ordinal,
                                  const std::string& message) {
-  if (halted_) {
-    return false;
-  }
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.state == ThreadState::kKilled ||
-      it->second.state == ThreadState::kDone) {
+  Tcb* tcb = Waiting(thread);
+  if (tcb == nullptr) {
     return false;
   }
   *slot = message;
-  JournalRecvDelivery(thread, channel, ordinal, *slot);
+  JournalRecvDelivery(*tcb, channel, ordinal, *slot);
   Ready(thread);
   return true;
 }

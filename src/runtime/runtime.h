@@ -11,7 +11,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,15 +33,14 @@ namespace symphony {
 class LipContext;
 using LipProgram = std::function<Task(LipContext&)>;
 
-// Cluster IPC fabric interface (implemented by src/net's IpcFabric; the
-// runtime sees only this so the dependency arrow stays net -> runtime).
-// When attached, the runtime's channel syscalls delegate here and named
-// channels become cluster-wide: a channel's home is the replica+LIP that
-// receives on it, sends from other replicas traverse a simulated link, and
-// delivery is journaled at the receiving LIP's syscall boundary (per-channel
-// receive ordinals) so one endpoint of a pair can be killed and replayed
-// while the other keeps running live. Without a fabric the legacy in-runtime
-// channels (re-execution replay discipline) are used unchanged.
+// IPC fabric interface (implemented by src/net's IpcFabric; the runtime sees
+// only this so the dependency arrow stays net -> runtime). Every channel
+// syscall goes through it: a plain SymphonyServer attaches a one-replica
+// fabric, SymphonyCluster one shared by all replicas. A channel's home is the
+// replica+LIP that receives on it, sends from other replicas traverse a
+// simulated link, and delivery is journaled at the receiving LIP's syscall
+// boundary (per-channel receive ordinals) so one endpoint of a pair can be
+// killed and replayed while the other keeps running live.
 class ChannelFabric {
  public:
   virtual ~ChannelFabric() = default;
@@ -106,15 +104,6 @@ struct RuntimeOptions {
   uint64_t seed = 42;
 };
 
-// Per-LIP resource limits (paper §6: "resource accounting" for untrusted
-// programs). Defaults are unlimited; the admin LIP is never limited.
-struct LipQuota {
-  uint64_t max_pred_tokens = UINT64_MAX;  // Total tokens across all preds.
-  uint64_t max_tool_calls = UINT64_MAX;
-  uint32_t max_threads = UINT32_MAX;      // Threads spawned over the lifetime.
-  uint64_t max_kv_pages = UINT64_MAX;     // Page references held in KVFS.
-};
-
 struct LipUsage {
   uint64_t pred_tokens = 0;
   uint64_t tool_calls = 0;
@@ -168,10 +157,9 @@ class LipRuntime {
   // Optional tracing: one span per LIP lifetime on track "lips".
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  // Attaches the cluster IPC fabric (this runtime is replica
-  // `replica_index`); channel syscalls delegate to it from then on. The
-  // fabric must outlive the runtime. Without a fabric, channels stay local
-  // to this runtime (legacy behaviour, unchanged).
+  // Attaches the IPC fabric (this runtime is replica `replica_index`) that
+  // serves the channel syscalls; they assert without one. The fabric must
+  // outlive the runtime.
   void set_channel_fabric(ChannelFabric* fabric, size_t replica_index) {
     fabric_ = fabric;
     replica_index_ = replica_index;
@@ -283,19 +271,17 @@ class LipRuntime {
   void AddJoiner(ThreadId target, ThreadId waiter);
   void AddJoinAllWaiter(LipId lip, ThreadId waiter);
 
-  // IPC channels (named, FIFO; bounded by credits when a fabric is attached
-  // and configured). With a fabric attached these delegate cluster-wide (see
-  // ChannelFabric above); otherwise they are the legacy in-runtime channels
-  // (always unbounded — TrySend never fails).
+  // IPC channels (named, FIFO, served by the attached fabric; bounded by
+  // credits when the fabric configures them).
   //
   // ChannelTrySend returns true when the send completed (accepted by the
-  // fabric, handed to a legacy waiter, queued, or suppressed by replay) and
-  // false when the channel is out of credits: *message is left intact and
-  // the caller must park via ChannelAddSendWaiter (the send awaitable's
-  // await_suspend). Journaling of a blocked send happens at grant time
-  // (CompleteBlockedSend), not at park time, so the journal records only
-  // COMPLETED syscalls — a sender killed while parked re-runs the send live
-  // on replay, re-parking at its original sender-FIFO position.
+  // fabric or suppressed by replay) and false when the channel is out of
+  // credits: *message is left intact and the caller must park via
+  // ChannelAddSendWaiter (the send awaitable's await_suspend). Journaling of
+  // a blocked send happens at grant time (CompleteBlockedSend), not at park
+  // time, so the journal records only COMPLETED syscalls — a sender killed
+  // while parked re-runs the send live on replay, re-parking at its original
+  // sender-FIFO position.
   bool ChannelTrySend(const std::string& channel, std::string* message);
   void ChannelAddSendWaiter(const std::string& channel, ThreadId waiter,
                             std::string* slot);
@@ -387,37 +373,41 @@ class LipRuntime {
     std::unique_ptr<ReplayState> replay;
   };
 
-  struct Channel {
-    std::deque<std::string> messages;
-    std::deque<std::pair<ThreadId, std::string*>> waiters;
-    // Per-channel delivery count (the kRecv ordinal in legacy mode).
-    uint64_t next_ordinal = 0;
-  };
-
   void Resume(ThreadId thread);
   void OnThreadExit(Tcb& tcb);
   Tcb& GetTcb(ThreadId thread);
   Process& GetProcess(LipId lip);
   const Process& GetProcess(LipId lip) const;
 
+  // The thread's control block while a completion may still wake it;
+  // nullptr once the runtime halted or the thread is unknown, killed or done.
+  Tcb* Waiting(ThreadId thread);
+
   // Replay plumbing. NextReplayEntry returns the next journaled entry for
-  // `tcb`'s thread (nullptr once its log is exhausted — live from then on);
-  // ConsumeReplayEntry advances the cursor and finishes the replay when the
-  // whole journal has been consumed.
+  // `tcb`'s thread, or nullptr while the thread runs live (no replay, replay
+  // finished, or its log exhausted); ConsumeReplayEntry advances the cursor
+  // and finishes the replay when the whole journal has been consumed.
   const JournalEntry* NextReplayEntry(Process& proc, const Tcb& tcb);
   void ConsumeReplayEntry(Process& proc, const Tcb& tcb);
-  // True while `tcb`'s next syscall will be answered from the journal —
-  // deadline rejections are suppressed for such calls (see SetDeadline).
-  bool ReplayServes(Process& proc, const Tcb& tcb);
-  void ExpireDeadline(LipId lip, SimTime deadline);
+  // NextReplayEntry when it is a `kind` entry; any other kind ends the
+  // replay as a divergence (`what`) and the syscall runs live.
+  const JournalEntry* Replayed(Process& proc, const Tcb& tcb,
+                               JournalEntry::Kind kind, const char* what);
   void FinishReplay(Process& proc, bool diverged);
   void ReplayDiverged(Process& proc, const char* what);
+  // Appends a completed syscall to the LIP's journal, if it has one.
+  void Record(const Tcb& tcb, JournalEntry entry);
   // Records a delivered IPC message (or checks it against the journal
-  // during replay). Called at every delivery point: direct handoff in
-  // legacy ChannelSend, successful ChannelTryRecv, and DeliverToWaiter.
-  void JournalRecvDelivery(ThreadId thread, const std::string& channel,
+  // during replay). Called at both delivery points: a successful
+  // ChannelTryRecv and DeliverToWaiter.
+  void JournalRecvDelivery(const Tcb& tcb, const std::string& channel,
                            uint64_t ordinal, const std::string& message);
-  void JournalSleepDone(ThreadId thread, SimDuration duration);
+
+  void ExpireDeadline(LipId lip, SimTime deadline);
+  // Deadline teardown: cancels the LIP's queued preds and closes its KV
+  // handles.
+  void Release(Process& proc);
+  void CloseHandles(Process& proc);
 
   Simulator* sim_;
   Kvfs* kvfs_;
@@ -431,7 +421,6 @@ class LipRuntime {
 
   std::unordered_map<ThreadId, Tcb> threads_;
   std::unordered_map<LipId, Process> processes_;
-  std::unordered_map<std::string, Channel> channels_;
   ThreadId next_thread_ = 1;
   LipId next_lip_ = kAdminLip + 1;
   ThreadId current_ = 0;

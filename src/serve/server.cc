@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/hash.h"
+#include "src/net/ipc_fabric.h"
 
 namespace symphony {
 
@@ -64,14 +65,6 @@ class SymphonyServer::ServerToolService : public ToolService {
   const CircuitBreaker* breaker(const std::string& tool) const {
     auto it = breakers_.find(tool);
     return it == breakers_.end() ? nullptr : &it->second;
-  }
-
-  uint64_t TotalBreakerOpens() const {
-    uint64_t total = 0;
-    for (const auto& [name, b] : breakers_) {
-      total += b.opens();
-    }
-    return total;
   }
 
  private:
@@ -206,6 +199,10 @@ SymphonyServer::SymphonyServer(Simulator* sim, ServerOptions options)
   runtime_->set_pred_service(scheduler_.get());
   runtime_->set_tool_service(tool_service_.get());
   runtime_->set_tokenizer(tokenizer_.get());
+  fabric_ = std::make_unique<IpcFabric>(sim_, &device_->cost_model(), nullptr,
+                                        nullptr);
+  fabric_->AttachReplica(0, runtime_.get());
+  runtime_->set_channel_fabric(fabric_.get(), 0);
   if (options_.trace != nullptr) {
     device_->set_trace(options_.trace);
     runtime_->set_trace(options_.trace);
@@ -395,33 +392,6 @@ const ToolServiceStats& SymphonyServer::tool_stats() const {
 const CircuitBreaker* SymphonyServer::tool_breaker(
     const std::string& tool) const {
   return tool_service_->breaker(tool);
-}
-
-SymphonyServer::MetricsSnapshot SymphonyServer::Snapshot() const {
-  MetricsSnapshot snap;
-  snap.gpu_utilization = device_->Utilization();
-  snap.batches = device_->stats().batches;
-  snap.mean_batch_size = device_->batch_sizes().mean();
-  snap.preds = runtime_->stats().preds_submitted;
-  snap.lips_completed = runtime_->stats().lips_completed;
-  snap.kv_evicted_files = kvfs_->stats().evicted_files;
-  snap.kv_offloaded_pages = kvfs_->stats().offloaded_pages;
-  snap.kv_restored_pages = kvfs_->stats().restored_pages;
-  snap.transfer_bytes = device_->stats().transfer_bytes;
-  snap.mean_queue_wait_ms = scheduler_->queue_waits_ms().mean();
-  snap.memory_requeues = scheduler_->stats().memory_requeues;
-  snap.preds_cancelled = scheduler_->stats().cancelled;
-  snap.tool_retries = tool_service_->stats().retries;
-  snap.tool_timeouts = tool_service_->stats().timeouts;
-  snap.tool_failures = tool_service_->stats().failures;
-  snap.breaker_opens = tool_service_->TotalBreakerOpens();
-  snap.breaker_rejections = tool_service_->stats().breaker_rejections;
-  snap.deadlines_expired = runtime_->stats().deadlines_expired;
-  snap.deadline_rejections = runtime_->stats().deadline_rejections;
-  snap.admission_rejected =
-      admission_stats_.rejected_full + admission_stats_.rejected_deadline;
-  snap.admission_shed = admission_stats_.shed_expired;
-  return snap;
 }
 
 }  // namespace symphony

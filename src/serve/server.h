@@ -30,6 +30,8 @@
 
 namespace symphony {
 
+class IpcFabric;
+
 enum class BatchPolicyKind {
   kEager,
   kSizeTimeout,
@@ -211,33 +213,6 @@ class SymphonyServer {
     return ProjectedQueueDelay(admission_queue_depth());
   }
 
-  // Aggregate snapshot for benchmarks and dashboards.
-  struct MetricsSnapshot {
-    double gpu_utilization = 0.0;
-    uint64_t batches = 0;
-    double mean_batch_size = 0.0;
-    uint64_t preds = 0;
-    uint64_t lips_completed = 0;
-    uint64_t kv_evicted_files = 0;
-    uint64_t kv_offloaded_pages = 0;
-    uint64_t kv_restored_pages = 0;
-    uint64_t transfer_bytes = 0;
-    double mean_queue_wait_ms = 0.0;
-    // Failure semantics.
-    uint64_t memory_requeues = 0;
-    uint64_t preds_cancelled = 0;
-    uint64_t tool_retries = 0;
-    uint64_t tool_timeouts = 0;
-    uint64_t tool_failures = 0;
-    uint64_t breaker_opens = 0;
-    uint64_t breaker_rejections = 0;
-    uint64_t deadlines_expired = 0;
-    uint64_t deadline_rejections = 0;
-    uint64_t admission_rejected = 0;
-    uint64_t admission_shed = 0;
-  };
-  MetricsSnapshot Snapshot() const;
-
  private:
   class ServerToolService;
 
@@ -263,6 +238,9 @@ class SymphonyServer {
   std::unique_ptr<InferenceScheduler> scheduler_;
   std::unique_ptr<ToolRegistry> tools_;
   std::unique_ptr<ServerToolService> tool_service_;
+  // Serves the runtime's channel syscalls (replica 0 of a one-replica
+  // fabric); SymphonyCluster swaps in its cluster-wide fabric.
+  std::unique_ptr<IpcFabric> fabric_;
   std::unique_ptr<LipRuntime> runtime_;
 
   // Admission control state.

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -161,6 +162,94 @@ TEST(RecoveryTest, QuotaUsageCarriesOverAcrossFailover) {
   EXPECT_EQ(killed_used, baseline_used);
   EXPECT_LE(killed_used, 14u);
   EXPECT_EQ(killed_output, baseline_output);
+}
+
+// ---- Deadline expiry during replay --------------------------------------
+
+using PredLog = std::vector<std::pair<SimTime, StatusCode>>;
+
+// Decodes `preds` tokens, naps 1 ms, idles for `idle`, then decodes one more
+// token (explicit position: no KV length lookup ahead of the syscall). Every
+// pred's completion (virtual time, status) goes to *log, which outlives the
+// run. A kill during the idle leaves the nap as the journal's last entry, so
+// a replay ends on a served sleep, not a recomputed pred.
+LipProgram DecodeThenIdle(int preds, SimDuration idle, PredLog* log) {
+  return [preds, idle, log](LipContext& ctx) -> Task {
+    KvHandle kv = *ctx.kv_tmp();
+    TokenId next = ctx.tokenizer().Encode("w1").back();
+    for (int i = 0; i < preds; ++i) {
+      StatusOr<std::vector<Distribution>> d = co_await ctx.pred1(kv, next);
+      log->emplace_back(ctx.now(), d.status().code());
+      if (!d.ok()) {
+        co_return;
+      }
+      next = d->back().Argmax();
+    }
+    co_await ctx.sleep(Millis(1));
+    co_await ctx.sleep(idle);
+    std::vector<TokenId> tokens{next};
+    std::vector<int32_t> positions{preds};
+    StatusOr<std::vector<Distribution>> last =
+        co_await ctx.pred_at(kv, std::move(tokens), std::move(positions));
+    log->emplace_back(ctx.now(), last.status().code());
+    co_return;
+  };
+}
+
+TEST(RecoveryTest, DeadlineFiringMidReplayDefersTeardownToJournalEnd) {
+  constexpr int kPreds = 20;
+  constexpr SimTime kKillAt = Millis(500);
+  Simulator sim;
+  SymphonyCluster cluster(&sim, RecoveryCluster(11, RecoveryMode::kRecompute));
+  PredLog log;
+  SymphonyCluster::ClusterLip id =
+      cluster.Launch("bounded", "", DecodeThenIdle(kPreds, Seconds(1), &log));
+
+  // At the kill the LIP idles with its decode phase journaled. The deadline
+  // lands half a decode phase later: recompute replay re-runs that phase,
+  // so it fires while the journal still serves the LIP.
+  SimTime deadline = 0;
+  uint64_t refs_before_kill = 0;
+  sim.ScheduleAt(kKillAt, [&] {
+    ASSERT_EQ(log.size(), static_cast<size_t>(kPreds));
+    deadline = kKillAt + log.back().first / 2;
+    refs_before_kill =
+        cluster.replica(id.replica).kvfs().OwnerPageRefs(id.lip);
+    cluster.replica(id.replica).runtime().SetDeadline(id.lip, deadline);
+    ASSERT_TRUE(cluster.KillReplica(id.replica).ok());
+  });
+  // Between the end of the replay and the LIP's next pred: the deferred
+  // teardown has closed its KV handles.
+  uint64_t refs_after_replay = UINT64_MAX;
+  sim.ScheduleAt(kKillAt + Millis(300), [&] {
+    SymphonyCluster::ClusterLip where = cluster.Locate(id);
+    refs_after_replay =
+        cluster.replica(where.replica).kvfs().OwnerPageRefs(where.lip);
+  });
+  sim.Run();
+
+  ASSERT_TRUE(cluster.Done(id));
+  SymphonyCluster::ClusterLip where = cluster.Locate(id);
+  ASSERT_NE(where.replica, id.replica);
+  // The replayed incarnation: every journal-served pred succeeds, including
+  // those completing after the deadline fired...
+  ASSERT_EQ(log.size(), static_cast<size_t>(2 * kPreds + 1));
+  PredLog replayed(log.begin() + kPreds, log.end());
+  for (int i = 0; i < kPreds; ++i) {
+    EXPECT_EQ(replayed[i].second, StatusCode::kOk) << "replayed pred " << i;
+  }
+  EXPECT_LT(replayed.front().first, deadline);
+  EXPECT_GT(replayed[kPreds - 1].first, deadline);
+  ASSERT_LT(replayed[kPreds - 1].first, kKillAt + Millis(300));
+  // ...and the first pred past the journal is rejected.
+  EXPECT_EQ(replayed.back().second, StatusCode::kDeadlineExceeded);
+  const RuntimeStats& stats = cluster.replica(where.replica).runtime().stats();
+  EXPECT_EQ(stats.deadlines_expired, 1u);
+  EXPECT_EQ(stats.deadline_rejections, 1u);
+  EXPECT_EQ(stats.replay_divergences, 0u);
+  EXPECT_EQ(cluster.Snapshot().replay_divergences, 0u);
+  EXPECT_GT(refs_before_kill, 0u);
+  EXPECT_EQ(refs_after_replay, 0u);
 }
 
 // ---- Live migration ----------------------------------------------------

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/kvfs/kvfs.h"
+#include "src/net/ipc_fabric.h"
 #include "src/runtime/lip_context.h"
 #include "src/runtime/runtime.h"
 #include "src/sim/event_queue.h"
@@ -16,7 +17,14 @@ namespace {
 
 class RuntimeTest : public ::testing::Test {
  protected:
-  RuntimeTest() : kvfs_(MakeKvfsOptions()), runtime_(&sim_, &kvfs_) {}
+  RuntimeTest()
+      : kvfs_(MakeKvfsOptions()),
+        fabric_(&sim_, &cost_, nullptr, nullptr),
+        runtime_(&sim_, &kvfs_) {
+    // Channels are served by a one-replica fabric, as on a plain server.
+    fabric_.AttachReplica(0, &runtime_);
+    runtime_.set_channel_fabric(&fabric_, 0);
+  }
 
   static KvfsOptions MakeKvfsOptions() {
     KvfsOptions o;
@@ -27,6 +35,8 @@ class RuntimeTest : public ::testing::Test {
 
   Simulator sim_;
   Kvfs kvfs_;
+  CostModel cost_{ModelConfig::Tiny()};
+  IpcFabric fabric_;  // Outlives the runtime.
   LipRuntime runtime_;
 };
 
@@ -208,6 +218,29 @@ TEST_F(RuntimeTest, ChannelFifoAcrossMessages) {
   });
   sim_.Run();
   EXPECT_EQ(got, (std::vector<std::string>{"one", "two", "three"}));
+}
+
+TEST_F(RuntimeTest, DetachDropsParkedReceiver) {
+  std::string detached_got = "none";
+  std::string got;
+  LipId detached = runtime_.Launch("a", [&](LipContext& ctx) -> Task {
+    detached_got = co_await ctx.recv("c");
+    co_return;
+  });
+  sim_.Run();  // A parks on "c".
+  ASSERT_TRUE(runtime_.Detach(detached).ok());
+  runtime_.Launch("b", [&](LipContext& ctx) -> Task {
+    got = co_await ctx.recv("c");
+    co_return;
+  });
+  sim_.Run();  // B parks behind where A was.
+  runtime_.Launch("sender", [](LipContext& ctx) -> Task {
+    co_await ctx.send("c", "for b");
+    co_return;
+  });
+  sim_.Run();
+  EXPECT_EQ(got, "for b");
+  EXPECT_EQ(detached_got, "none");
 }
 
 TEST_F(RuntimeTest, KvSyscallsThroughContext) {
