@@ -47,13 +47,6 @@ Status KvFileData::Append(const TokenRecord& record, Tier tier) {
   return Status::Ok();
 }
 
-Status KvFileData::AppendSpan(std::span<const TokenRecord> records, Tier tier) {
-  for (const TokenRecord& r : records) {
-    SYMPHONY_RETURN_IF_ERROR(Append(r, tier));
-  }
-  return Status::Ok();
-}
-
 StatusOr<TokenRecord> KvFileData::At(uint64_t index) const {
   if (index >= length_) {
     return OutOfRangeError("token index beyond file length");

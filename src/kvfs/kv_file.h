@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,6 @@ class KvFileData {
 
   // Appends one record; allocates pages in `tier` as needed.
   Status Append(const TokenRecord& record, Tier tier = Tier::kGpu);
-  Status AppendSpan(std::span<const TokenRecord> records, Tier tier = Tier::kGpu);
 
   // Random access. Index must be < length().
   StatusOr<TokenRecord> At(uint64_t index) const;

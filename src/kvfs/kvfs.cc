@@ -4,6 +4,21 @@
 #include <cassert>
 
 namespace symphony {
+namespace {
+
+Status QuotaError(LipId owner) {
+  return QuotaExceededError("kv page quota exceeded for lip " +
+                            std::to_string(owner));
+}
+
+// Appends every record of `data` to `out`.
+void CopyRecords(const KvFileData& data, std::vector<TokenRecord>& out) {
+  for (uint64_t i = 0; i < data.length(); ++i) {
+    out.push_back(*data.At(i));
+  }
+}
+
+}  // namespace
 
 Kvfs::Kvfs(KvfsOptions options)
     : options_(std::move(options)),
@@ -104,18 +119,7 @@ StatusOr<KvHandle> Kvfs::MakeHandle(FileId file, LipId requester, bool read,
   return KvHandle{slot, generation};
 }
 
-StatusOr<Kvfs::HandleEntry*> Kvfs::ResolveHandle(KvHandle handle) {
-  if (handle.slot >= handles_.size()) {
-    return InvalidArgumentError("bad kv handle");
-  }
-  HandleEntry& entry = handles_[handle.slot];
-  if (!entry.live || entry.generation != handle.generation) {
-    return InvalidArgumentError("stale kv handle");
-  }
-  return &entry;
-}
-
-StatusOr<const Kvfs::HandleEntry*> Kvfs::ResolveHandle(KvHandle handle) const {
+StatusOr<Kvfs::HandleEntry> Kvfs::ResolveHandle(KvHandle handle) const {
   if (handle.slot >= handles_.size()) {
     return InvalidArgumentError("bad kv handle");
   }
@@ -123,7 +127,7 @@ StatusOr<const Kvfs::HandleEntry*> Kvfs::ResolveHandle(KvHandle handle) const {
   if (!entry.live || entry.generation != handle.generation) {
     return InvalidArgumentError("stale kv handle");
   }
-  return &entry;
+  return entry;
 }
 
 StatusOr<KvHandle> Kvfs::Open(std::string_view path, const OpenOptions& options) {
@@ -133,74 +137,83 @@ StatusOr<KvHandle> Kvfs::Open(std::string_view path, const OpenOptions& options)
   if (options.requester == kNoLip) {
     return InvalidArgumentError("open requires a requester identity");
   }
+  bool read = options.read;
+  bool write = options.write;
+  FileId id;
   auto it = names_.find(std::string(path));
   if (it == names_.end()) {
     if (!options.create) {
       return NotFoundError("no such kv file: " + std::string(path));
     }
-    FileId id = AllocateFileSlot();
+    id = AllocateFileSlot();
     FileEntry& entry = files_[id];
     entry.path = std::string(path);
     entry.owner = options.requester;
     entry.mode = options.create_mode;
-    entry.last_access = Now();
-    if (options.requester != kAdminLip) {
-      ++entry.opens_total;
+    names_.emplace(entry.path, id);
+    read = write = true;
+  } else {
+    if (options.create && options.exclusive) {
+      return AlreadyExistsError("kv file exists: " + std::string(path));
     }
-    names_.emplace(std::string(path), id);
-    ++stats_.opens;
-    return MakeHandle(id, options.requester, /*read=*/true, /*write=*/true);
+    id = it->second;
+    if (read && !MayRead(files_[id], options.requester)) {
+      ++stats_.acl_denials;
+      return PermissionDeniedError("read access denied: " + std::string(path));
+    }
+    if (write && !MayWrite(files_[id], options.requester)) {
+      ++stats_.acl_denials;
+      return PermissionDeniedError("write access denied: " + std::string(path));
+    }
   }
-  if (options.create && options.exclusive) {
-    return AlreadyExistsError("kv file exists: " + std::string(path));
-  }
-  FileId id = it->second;
   FileEntry& entry = files_[id];
-  if (options.read && !MayRead(entry, options.requester)) {
-    ++stats_.acl_denials;
-    return PermissionDeniedError("read access denied: " + std::string(path));
-  }
-  if (options.write && !MayWrite(entry, options.requester)) {
-    ++stats_.acl_denials;
-    return PermissionDeniedError("write access denied: " + std::string(path));
-  }
   entry.last_access = Now();
   // Admin opens (sharing passes, introspection) don't count toward hotness.
   if (options.requester != kAdminLip) {
     ++entry.opens_total;
   }
   ++stats_.opens;
-  return MakeHandle(id, options.requester, options.read, options.write);
+  return MakeHandle(id, options.requester, read, write);
+}
+
+StatusOr<KvHandle> Kvfs::NewFile(LipId owner,
+                                 const std::function<Status(FileEntry&)>& fill) {
+  FileId id = AllocateFileSlot();
+  FileEntry& file = files_[id];
+  file.owner = owner;
+  file.unlinked = true;  // Reclaimed when its last handle closes.
+  file.last_access = Now();
+  file.open_count = 1;
+  Status st = fill ? fill(file) : Status::Ok();
+  --file.open_count;
+  if (!st.ok()) {
+    ReclaimIfOrphaned(id);
+    return st;
+  }
+  return MakeHandle(id, owner, /*read=*/true, /*write=*/true);
 }
 
 StatusOr<KvHandle> Kvfs::CreateAnonymous(LipId requester) {
   if (requester == kNoLip) {
     return InvalidArgumentError("create requires a requester identity");
   }
-  FileId id = AllocateFileSlot();
-  FileEntry& entry = files_[id];
-  entry.owner = requester;
-  entry.mode = kModePrivate;
-  entry.unlinked = true;  // Reclaimed when the handle closes.
-  entry.last_access = Now();
   ++stats_.opens;
-  return MakeHandle(id, requester, /*read=*/true, /*write=*/true);
+  return NewFile(requester, nullptr);
 }
 
 Status Kvfs::Close(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileId file = entry->file;
-  FileEntry& fentry = files_[file];
-  if (fentry.lock_holder == entry->requester) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  FileEntry& file = files_[entry.file];
+  if (file.lock_holder == entry.requester) {
     // Dropping the last handle of the lock holder releases the lock. We keep
     // it simple: any close by the holder releases it.
-    fentry.lock_holder = kNoLip;
+    file.lock_holder = kNoLip;
   }
-  entry->live = false;
+  handles_[handle.slot].live = false;
   free_handle_slots_.push_back(handle.slot);
-  assert(fentry.open_count > 0);
-  --fentry.open_count;
-  ReclaimIfOrphaned(file);
+  assert(file.open_count > 0);
+  --file.open_count;
+  ReclaimIfOrphaned(entry.file);
   return Status::Ok();
 }
 
@@ -227,21 +240,21 @@ Status Kvfs::Link(KvHandle handle, std::string_view path) {
   if (path.empty()) {
     return InvalidArgumentError("empty path");
   }
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileEntry& fentry = files_[entry->file];
-  if (entry->requester != kAdminLip && entry->requester != fentry.owner) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  FileEntry& file = files_[entry.file];
+  if (entry.requester != kAdminLip && entry.requester != file.owner) {
     ++stats_.acl_denials;
     return PermissionDeniedError("link requires ownership");
   }
   if (names_.count(std::string(path)) > 0) {
     return AlreadyExistsError("kv file exists: " + std::string(path));
   }
-  if (!fentry.path.empty()) {
-    names_.erase(fentry.path);
+  if (!file.path.empty()) {
+    names_.erase(file.path);
   }
-  fentry.path = std::string(path);
-  fentry.unlinked = false;
-  names_.emplace(std::string(path), entry->file);
+  file.path = std::string(path);
+  file.unlinked = false;
+  names_.emplace(std::string(path), entry.file);
   return Status::Ok();
 }
 
@@ -261,73 +274,44 @@ std::vector<std::string> Kvfs::List(std::string_view prefix) const {
 }
 
 StatusOr<KvHandle> Kvfs::Fork(KvHandle source, LipId requester) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * src, ResolveHandle(source));
-  if (!src->can_read) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry src, ResolveHandle(source));
+  if (!src.can_read) {
     return PermissionDeniedError("fork requires a readable handle");
   }
-  FileEntry& src_file = files_[src->file];
-  src_file.last_access = Now();
-  FileId id = AllocateFileSlot();
-  FileEntry& entry = files_[id];
-  entry.owner = requester == kNoLip ? src->requester : requester;
-  entry.mode = kModePrivate;
-  entry.unlinked = true;
-  entry.last_access = Now();
-  // Re-fetch source after AllocateFileSlot (files_ may reallocate).
-  SYMPHONY_RETURN_IF_ERROR(entry.data->CloneFrom(*files_[src->file].data));
-  if (OverPageQuota(entry.owner)) {
-    LipId owner = entry.owner;
-    entry.data->ReleaseAll();
-    ReclaimIfOrphaned(id);
-    return QuotaExceededError("kv page quota exceeded for lip " +
-                              std::to_string(owner));
-  }
+  LipId owner = requester == kNoLip ? src.requester : requester;
+  files_[src.file].last_access = Now();
+  SYMPHONY_ASSIGN_OR_RETURN(KvHandle fork, NewFile(owner, [&](FileEntry& file) {
+    SYMPHONY_RETURN_IF_ERROR(file.data->CloneFrom(*files_[src.file].data));
+    return OverPageQuota(owner) ? QuotaError(owner) : Status::Ok();
+  }));
   ++stats_.forks;
-  return MakeHandle(id, entry.owner, /*read=*/true, /*write=*/true);
+  return fork;
 }
 
 StatusOr<KvHandle> Kvfs::Extract(KvHandle source, std::span<const uint64_t> indices,
                                  LipId requester) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * src, ResolveHandle(source));
-  if (!src->can_read) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry src, ResolveHandle(source));
+  if (!src.can_read) {
     return PermissionDeniedError("extract requires a readable handle");
   }
-  FileId src_id = src->file;
-  LipId owner = requester == kNoLip ? src->requester : requester;
   for (size_t i = 1; i < indices.size(); ++i) {
     if (indices[i] <= indices[i - 1]) {
       return InvalidArgumentError("extract indices must be strictly increasing");
     }
   }
-  FileId id = AllocateFileSlot();
-  {
-    FileEntry& entry = files_[id];
-    entry.owner = owner;
-    entry.mode = kModePrivate;
-    entry.unlinked = true;
-    entry.last_access = Now();
-    // Guard against the eviction scan picking this half-built file.
-    entry.open_count = 1;
-  }
-  auto abort_build = [&](Status st) -> StatusOr<KvHandle> {
-    --files_[id].open_count;
-    ReclaimIfOrphaned(id);
-    return st;
-  };
+  std::vector<TokenRecord> records;
+  records.reserve(indices.size());
   for (uint64_t index : indices) {
-    StatusOr<TokenRecord> rec = files_[src_id].data->At(index);
-    if (!rec.ok()) {
-      return abort_build(rec.status());
-    }
-    Status st = AppendWithEviction(files_[id], *rec);
-    if (!st.ok()) {
-      return abort_build(st);
-    }
+    SYMPHONY_ASSIGN_OR_RETURN(TokenRecord rec, files_[src.file].data->At(index));
+    records.push_back(rec);
   }
-  files_[src_id].last_access = Now();
-  --files_[id].open_count;
+  LipId owner = requester == kNoLip ? src.requester : requester;
+  SYMPHONY_ASSIGN_OR_RETURN(KvHandle out, NewFile(owner, [&](FileEntry& file) {
+    return AppendAll(file, records, Tier::kGpu);
+  }));
+  files_[src.file].last_access = Now();
   ++stats_.extracts;
-  return MakeHandle(id, owner, /*read=*/true, /*write=*/true);
+  return out;
 }
 
 StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requester) {
@@ -337,110 +321,87 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
   std::vector<FileId> src_ids;
   LipId owner = requester;
   for (KvHandle h : sources) {
-    SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * src, ResolveHandle(h));
-    if (!src->can_read) {
+    SYMPHONY_ASSIGN_OR_RETURN(HandleEntry src, ResolveHandle(h));
+    if (!src.can_read) {
       return PermissionDeniedError("merge requires readable handles");
     }
     if (owner == kNoLip) {
-      owner = src->requester;
+      owner = src.requester;
     }
-    src_ids.push_back(src->file);
+    src_ids.push_back(src.file);
   }
-  FileId id = AllocateFileSlot();
-  {
-    FileEntry& entry = files_[id];
-    entry.owner = owner;
-    entry.mode = kModePrivate;
-    entry.unlinked = true;
-    entry.last_access = Now();
-    // Guard against the eviction scan picking this half-built file.
-    entry.open_count = 1;
+  std::vector<TokenRecord> records;
+  for (FileId id : src_ids) {
+    CopyRecords(*files_[id].data, records);
   }
-  auto abort_build = [&](Status st) -> StatusOr<KvHandle> {
-    --files_[id].open_count;
-    ReclaimIfOrphaned(id);
-    return st;
-  };
-  for (FileId src_id : src_ids) {
-    uint64_t len = files_[src_id].data->length();
-    for (uint64_t i = 0; i < len; ++i) {
-      StatusOr<TokenRecord> rec = files_[src_id].data->At(i);
-      if (!rec.ok()) {
-        return abort_build(rec.status());
-      }
-      Status st = AppendWithEviction(files_[id], *rec);
-      if (!st.ok()) {
-        return abort_build(st);
-      }
-    }
-    files_[src_id].last_access = Now();
+  SYMPHONY_ASSIGN_OR_RETURN(KvHandle out, NewFile(owner, [&](FileEntry& file) {
+    return AppendAll(file, records, Tier::kGpu);
+  }));
+  for (FileId id : src_ids) {
+    files_[id].last_access = Now();
   }
-  --files_[id].open_count;
   ++stats_.merges;
-  return MakeHandle(id, owner, /*read=*/true, /*write=*/true);
+  return out;
 }
 
-Status Kvfs::AppendWithEviction(FileEntry& file, const TokenRecord& record) {
-  for (;;) {
-    Status st = file.data->Append(record, Tier::kGpu);
-    if (st.ok()) {
-      if (OverPageQuota(file.owner)) {
-        // Roll the record back; the quota is a hard per-tenant cap (§6).
-        (void)file.data->Truncate(file.data->length() - 1);
-        return QuotaExceededError("kv page quota exceeded for lip " +
-                                  std::to_string(file.owner));
-      }
-      return st;
+Status Kvfs::AppendAll(FileEntry& file, std::span<const TokenRecord> records,
+                       Tier tier) {
+  uint64_t original_length = file.data->length();
+  for (const TokenRecord& record : records) {
+    Status st = file.data->Append(record, tier);
+    while (st.code() == StatusCode::kResourceExhausted && tier == Tier::kGpu &&
+           EvictOne()) {
+      st = file.data->Append(record, tier);
     }
-    if (st.code() != StatusCode::kResourceExhausted) {
-      return st;
+    if (st.ok() && OverPageQuota(file.owner)) {
+      st = QuotaError(file.owner);  // A hard per-tenant cap (§6).
     }
-    if (options_.eviction == EvictionMode::kNone || !EvictOne()) {
+    if (!st.ok()) {
+      (void)file.data->Truncate(original_length);  // Roll back the span.
       return st;
     }
   }
+  return Status::Ok();
 }
 
-Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_write) {
+Status Kvfs::AppendRecords(KvHandle handle, std::span<const TokenRecord> records,
+                           Tier tier) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  if (!entry.can_write) {
     ++stats_.acl_denials;
     return PermissionDeniedError("append on read-only handle");
   }
-  FileId file_id = entry->file;
-  LipId requester = entry->requester;
-  FileEntry& file = files_[file_id];
-  if (file.lock_holder != kNoLip && file.lock_holder != requester) {
+  FileEntry& file = files_[entry.file];
+  if (file.LockedAgainst(entry.requester)) {
     return FailedPreconditionError("file locked by another lip");
   }
-  uint64_t original_length = files_[file_id].data->length();
-  for (const TokenRecord& rec : records) {
-    Status st = AppendWithEviction(files_[file_id], rec);
-    if (!st.ok()) {
-      // Appends are atomic: roll back the partial span.
-      (void)files_[file_id].data->Truncate(original_length);
-      return st;
-    }
-  }
-  files_[file_id].last_access = Now();
+  SYMPHONY_RETURN_IF_ERROR(AppendAll(file, records, tier));
+  file.last_access = Now();
+  return Status::Ok();
+}
+
+Status Kvfs::Append(KvHandle handle, std::span<const TokenRecord> records) {
+  return AppendRecords(handle, records, Tier::kGpu);
+}
+
+Status Kvfs::ImportRecords(KvHandle handle,
+                           std::span<const TokenRecord> records, Tier tier) {
+  SYMPHONY_RETURN_IF_ERROR(AppendRecords(handle, records, tier));
+  stats_.imported_tokens += records.size();
   return Status::Ok();
 }
 
 StatusOr<KvFileSnapshot> Kvfs::ExportSnapshot(KvHandle handle) const {
-  SYMPHONY_ASSIGN_OR_RETURN(const HandleEntry* entry, ResolveHandle(handle));
-  if (!entry->can_read) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  if (!entry.can_read) {
     return PermissionDeniedError("snapshot export on write-only handle");
   }
-  const FileEntry& file = files_[entry->file];
+  const FileEntry& file = files_[entry.file];
   KvFileSnapshot snapshot;
   snapshot.path = file.unlinked ? std::string() : file.path;
   snapshot.mode = file.mode;
-  uint64_t length = file.data->length();
-  snapshot.records.reserve(length);
-  for (uint64_t i = 0; i < length; ++i) {
-    SYMPHONY_ASSIGN_OR_RETURN(TokenRecord rec, file.data->At(i));
-    snapshot.records.push_back(rec);
-  }
+  snapshot.records.reserve(file.data->length());
+  CopyRecords(*file.data, snapshot.records);
   ++stats_.snapshot_exports;
   return snapshot;
 }
@@ -453,77 +414,40 @@ StatusOr<KvHandle> Kvfs::ImportSnapshot(const KvFileSnapshot& snapshot,
     (void)Close(handle);
     return st;
   }
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  files_[entry->file].mode = snapshot.mode;
+  files_[handles_[handle.slot].file].mode = snapshot.mode;
   ++stats_.snapshot_imports;
   return handle;
 }
 
-Status Kvfs::ImportRecords(KvHandle handle,
-                           std::span<const TokenRecord> records, Tier tier) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_write) {
-    ++stats_.acl_denials;
-    return PermissionDeniedError("import on read-only handle");
-  }
-  FileId file_id = entry->file;
-  LipId requester = entry->requester;
-  if (files_[file_id].lock_holder != kNoLip &&
-      files_[file_id].lock_holder != requester) {
-    return FailedPreconditionError("file locked by another lip");
-  }
-  uint64_t original_length = files_[file_id].data->length();
-  for (const TokenRecord& rec : records) {
-    Status st;
-    if (tier == Tier::kGpu) {
-      st = AppendWithEviction(files_[file_id], rec);
-    } else {
-      st = files_[file_id].data->Append(rec, tier);
-      if (st.ok() && OverPageQuota(files_[file_id].owner)) {
-        st = QuotaExceededError("kv page quota exceeded for lip " +
-                                std::to_string(files_[file_id].owner));
-      }
-    }
-    if (!st.ok()) {
-      // Imports are atomic: roll back the partial span.
-      (void)files_[file_id].data->Truncate(original_length);
-      return st;
-    }
-  }
-  stats_.imported_tokens += records.size();
-  files_[file_id].last_access = Now();
-  return Status::Ok();
-}
-
 StatusOr<TokenRecord> Kvfs::Read(KvHandle handle, uint64_t index) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_read) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  if (!entry.can_read) {
     ++stats_.acl_denials;
     return PermissionDeniedError("read on write-only handle");
   }
-  FileEntry& file = files_[entry->file];
+  FileEntry& file = files_[entry.file];
   file.last_access = Now();
   return file.data->At(index);
 }
 
 StatusOr<uint64_t> Kvfs::Length(KvHandle handle) const {
-  SYMPHONY_ASSIGN_OR_RETURN(const HandleEntry* entry, ResolveHandle(handle));
-  return files_[entry->file].data->length();
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  return files_[entry.file].data->length();
 }
 
 StatusOr<HiddenState> Kvfs::TailState(KvHandle handle) const {
-  SYMPHONY_ASSIGN_OR_RETURN(const HandleEntry* entry, ResolveHandle(handle));
-  return files_[entry->file].data->TailState();
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  return files_[entry.file].data->TailState();
 }
 
 Status Kvfs::Truncate(KvHandle handle, uint64_t new_length) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  if (!entry->can_write) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  if (!entry.can_write) {
     ++stats_.acl_denials;
     return PermissionDeniedError("truncate on read-only handle");
   }
-  FileEntry& file = files_[entry->file];
-  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
+  FileEntry& file = files_[entry.file];
+  if (file.LockedAgainst(entry.requester)) {
     return FailedPreconditionError("file locked by another lip");
   }
   file.last_access = Now();
@@ -531,19 +455,19 @@ Status Kvfs::Truncate(KvHandle handle, uint64_t new_length) {
 }
 
 Status Kvfs::Lock(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileEntry& file = files_[entry->file];
-  if (file.lock_holder != kNoLip && file.lock_holder != entry->requester) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  FileEntry& file = files_[entry.file];
+  if (file.LockedAgainst(entry.requester)) {
     return FailedPreconditionError("file already locked");
   }
-  file.lock_holder = entry->requester;
+  file.lock_holder = entry.requester;
   return Status::Ok();
 }
 
 Status Kvfs::Unlock(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileEntry& file = files_[entry->file];
-  if (file.lock_holder != entry->requester) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  FileEntry& file = files_[entry.file];
+  if (file.lock_holder != entry.requester) {
     return FailedPreconditionError("not the lock holder");
   }
   file.lock_holder = kNoLip;
@@ -551,21 +475,21 @@ Status Kvfs::Unlock(KvHandle handle) {
 }
 
 Status Kvfs::Pin(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  files_[entry->file].pinned = true;
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  files_[entry.file].pinned = true;
   return Status::Ok();
 }
 
 Status Kvfs::Unpin(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  files_[entry->file].pinned = false;
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  files_[entry.file].pinned = false;
   return Status::Ok();
 }
 
 Status Kvfs::SetMode(KvHandle handle, uint8_t mode) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileEntry& file = files_[entry->file];
-  if (entry->requester != kAdminLip && entry->requester != file.owner) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  FileEntry& file = files_[entry.file];
+  if (entry.requester != kAdminLip && entry.requester != file.owner) {
     ++stats_.acl_denials;
     return PermissionDeniedError("chmod requires ownership");
   }
@@ -573,65 +497,50 @@ Status Kvfs::SetMode(KvHandle handle, uint8_t mode) {
   return Status::Ok();
 }
 
-Status Kvfs::OffloadToHost(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileEntry& file = files_[entry->file];
+Status Kvfs::MovePages(FileEntry& file, Tier to) {
   for (PageId page : file.data->pages()) {
-    if (pool_.tier(page) != Tier::kGpu) {
+    if (pool_.tier(page) == to) {
       continue;
     }
-    SYMPHONY_RETURN_IF_ERROR(pool_.MoveToTier(page, Tier::kHost));
+    if (to == Tier::kGpu) {
+      SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(1));
+    }
+    SYMPHONY_RETURN_IF_ERROR(pool_.MoveToTier(page, to));
     pending_transfer_bytes_ += bytes_per_page_;
-    ++stats_.offloaded_pages;
+    ++(to == Tier::kGpu ? stats_.restored_pages : stats_.offloaded_pages);
   }
   return Status::Ok();
 }
 
+Status Kvfs::OffloadToHost(KvHandle handle) {
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  return MovePages(files_[entry.file], Tier::kHost);
+}
+
 Status Kvfs::RestoreToGpu(KvHandle handle) {
-  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry * entry, ResolveHandle(handle));
-  FileId file_id = entry->file;
-  for (PageId page : files_[file_id].data->pages()) {
-    if (pool_.tier(page) != Tier::kHost) {
-      continue;
-    }
-    SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(1));
-    SYMPHONY_RETURN_IF_ERROR(pool_.MoveToTier(page, Tier::kGpu));
-    pending_transfer_bytes_ += bytes_per_page_;
-    ++stats_.restored_pages;
-  }
-  files_[file_id].last_access = Now();
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  FileEntry& file = files_[entry.file];
+  SYMPHONY_RETURN_IF_ERROR(MovePages(file, Tier::kGpu));
+  file.last_access = Now();
   return Status::Ok();
 }
 
 Status Kvfs::ReserveGpuPages(uint64_t pages) {
   while (pool_.gpu_pages_free() < pages) {
-    if (options_.eviction == EvictionMode::kNone || !EvictOne()) {
+    if (!EvictOne()) {
       return ResourceExhaustedError("cannot reserve gpu pages");
     }
   }
   return Status::Ok();
 }
 
-uint64_t Kvfs::OffloadOwnedBy(LipId owner) {
-  uint64_t moved = 0;
-  for (FileId id = 0; id < files_.size(); ++id) {
-    FileEntry& entry = files_[id];
-    if (!entry.live || !entry.data || entry.owner != owner || entry.pinned) {
-      continue;
-    }
-    for (PageId page : entry.data->pages()) {
-      if (pool_.tier(page) != Tier::kGpu) {
-        continue;
-      }
-      if (!pool_.MoveToTier(page, Tier::kHost).ok()) {
-        return moved;  // Host tier full; keep the rest on-device.
-      }
-      pending_transfer_bytes_ += bytes_per_page_;
-      ++stats_.offloaded_pages;
-      ++moved;
+void Kvfs::OffloadOwnedBy(LipId owner) {
+  for (FileEntry& file : files_) {
+    if (file.live && file.owner == owner && !file.pinned &&
+        !MovePages(file, Tier::kHost).ok()) {
+      return;  // Host tier full; keep the rest on-device.
     }
   }
-  return moved;
 }
 
 uint64_t Kvfs::TakePendingTransferBytes() {
@@ -647,9 +556,9 @@ KvFileInfo Kvfs::InfoFor(FileId id) const {
   info.path = entry.path;
   info.owner = entry.owner;
   info.mode = entry.mode;
-  info.length = entry.data ? entry.data->length() : 0;
-  info.gpu_pages = entry.data ? entry.data->PagesInTier(Tier::kGpu) : 0;
-  info.host_pages = entry.data ? entry.data->PagesInTier(Tier::kHost) : 0;
+  info.length = entry.data->length();
+  info.gpu_pages = entry.data->PagesInTier(Tier::kGpu);
+  info.host_pages = entry.data->PagesInTier(Tier::kHost);
   info.pinned = entry.pinned;
   info.locked = entry.lock_holder != kNoLip;
   info.open_count = entry.open_count;
@@ -658,83 +567,48 @@ KvFileInfo Kvfs::InfoFor(FileId id) const {
   return info;
 }
 
-std::vector<KvFileInfo> Kvfs::EligibleVictims() const {
-  std::vector<KvFileInfo> out;
-  for (FileId id = 0; id < files_.size(); ++id) {
-    const FileEntry& entry = files_[id];
-    if (!entry.live || !entry.data || entry.pinned || entry.open_count > 0 ||
-        entry.lock_holder != kNoLip) {
-      continue;
-    }
-    if (entry.data->PagesInTier(Tier::kGpu) == 0) {
-      continue;
-    }
-    out.push_back(InfoFor(id));
-  }
-  return out;
-}
-
 bool Kvfs::EvictOne() {
-  std::vector<KvFileInfo> candidates = EligibleVictims();
-  if (candidates.empty()) {
+  if (options_.eviction == EvictionMode::kNone) {
     return false;
   }
+  // The eligible file with GPU pages and the oldest access; ties go to the
+  // lowest id.
   FileId victim = kInvalidFile;
-  if (eviction_hook_) {
-    std::optional<FileId> pick = eviction_hook_(candidates);
-    if (!pick.has_value()) {
-      return false;
-    }
-    victim = *pick;
-  } else {
-    SimTime oldest = candidates[0].last_access;
-    victim = candidates[0].id;
-    for (const KvFileInfo& info : candidates) {
-      if (info.last_access < oldest) {
-        oldest = info.last_access;
-        victim = info.id;
-      }
+  for (FileId id = 0; id < files_.size(); ++id) {
+    const FileEntry& file = files_[id];
+    if (file.live && !file.pinned && file.open_count == 0 &&
+        file.lock_holder == kNoLip &&
+        (victim == kInvalidFile ||
+         file.last_access < files_[victim].last_access) &&
+        file.data->PagesInTier(Tier::kGpu) > 0) {
+      victim = id;
     }
   }
-  FileEntry& entry = files_[victim];
-  if (!entry.live || !entry.data) {
+  if (victim == kInvalidFile) {
     return false;
   }
+  FileEntry& file = files_[victim];
   ++stats_.evicted_files;
-  if (options_.eviction == EvictionMode::kOffloadLru) {
-    bool offloaded_all = true;
-    for (PageId page : entry.data->pages()) {
-      if (pool_.tier(page) != Tier::kGpu) {
-        continue;
-      }
-      Status st = pool_.MoveToTier(page, Tier::kHost);
-      if (!st.ok()) {
-        offloaded_all = false;
-        break;
-      }
-      pending_transfer_bytes_ += bytes_per_page_;
-      ++stats_.offloaded_pages;
-    }
-    if (offloaded_all) {
-      return true;
-    }
-    // Host tier full: fall through to dropping the file.
+  if (options_.eviction == EvictionMode::kOffloadLru &&
+      MovePages(file, Tier::kHost).ok()) {
+    return true;
   }
-  // Drop: release pages and unlink so lookups miss from now on.
-  entry.data->ReleaseAll();
-  if (!entry.path.empty()) {
-    names_.erase(entry.path);
-    entry.path.clear();
+  // Drop (also when the host tier is full): release pages and unlink so
+  // lookups miss from now on.
+  file.data->ReleaseAll();
+  if (!file.path.empty()) {
+    names_.erase(file.path);
+    file.path.clear();
   }
-  entry.unlinked = true;
+  file.unlinked = true;
   ++stats_.dropped_files;
   ReclaimIfOrphaned(victim);
   return true;
 }
 
 StatusOr<KvFileInfo> Kvfs::Stat(KvHandle handle) const {
-  SYMPHONY_ASSIGN_OR_RETURN(const HandleEntry* entry, ResolveHandle(handle));
-  return InfoFor(entry->file);
+  SYMPHONY_ASSIGN_OR_RETURN(HandleEntry entry, ResolveHandle(handle));
+  return InfoFor(entry.file);
 }
 
 StatusOr<KvFileInfo> Kvfs::StatPath(std::string_view path) const {
@@ -753,11 +627,6 @@ std::vector<KvFileInfo> Kvfs::ListAll() const {
     }
   }
   return out;
-}
-
-StatusOr<const KvFileData*> Kvfs::FileData(KvHandle handle) const {
-  SYMPHONY_ASSIGN_OR_RETURN(const HandleEntry* entry, ResolveHandle(handle));
-  return &*files_[entry->file].data;
 }
 
 }  // namespace symphony

@@ -3,8 +3,8 @@
 // KVFS treats KV caches as files: they persist beyond a LIP's lifetime, can
 // be shared across LIPs, and are manipulated with POSIX-like calls plus the
 // specialized fork/extract/merge operations. Pages live in a tiered PagePool
-// (GPU + host); when the GPU tier fills, an eviction policy picks victim
-// files to offload or drop.
+// (GPU + host); when the GPU tier fills, the least-recently-used eligible
+// file is offloaded to the host or dropped.
 //
 // Time/cost separation: KVFS never consumes virtual time itself. Operations
 // that imply data movement (offload, restore, eviction) accumulate
@@ -56,7 +56,7 @@ struct OpenOptions {
   uint8_t create_mode = kModePrivate;
 };
 
-// Snapshot of one file's metadata, for introspection and eviction policies.
+// Snapshot of one file's metadata, for introspection.
 struct KvFileInfo {
   FileId id = kInvalidFile;
   std::string path;  // Empty for anonymous files.
@@ -74,11 +74,6 @@ struct KvFileInfo {
   uint64_t opens_total = 0;
   SimTime last_access = 0;
 };
-
-// Custom eviction hook: return the victim file id, or nullopt to give up.
-// Candidates are pre-filtered to eligible files (not pinned/locked/open).
-using EvictionHook =
-    std::function<std::optional<FileId>(const std::vector<KvFileInfo>& candidates)>;
 
 // Per-owner page quota hook (paper §6, resource accounting): returns the
 // maximum page references the owner may hold; UINT64_MAX = unlimited. Admin
@@ -192,17 +187,14 @@ class Kvfs {
   // Moves all of the file's pages to the host tier.
   Status OffloadToHost(KvHandle handle);
 
-  // Ensures all pages are GPU-resident, evicting other files if necessary.
+  // Moves the file's host pages back to the GPU tier, evicting other files
+  // if necessary.
   Status RestoreToGpu(KvHandle handle);
-
-  // Ensures at least `pages` free GPU pages, evicting eligible files.
-  Status ReserveGpuPages(uint64_t pages);
 
   // Moves every unpinned file owned by `owner` to the host tier (the §4.3
   // offload-while-blocked-on-I/O optimization). Files are restored lazily by
-  // the next pred that uses them. Returns the number of pages moved; stops
-  // early if the host tier fills.
-  uint64_t OffloadOwnedBy(LipId owner);
+  // the next pred that uses them. Stops early if the host tier fills.
+  void OffloadOwnedBy(LipId owner);
 
   // Bytes of host<->device traffic implied by operations since the last call.
   uint64_t TakePendingTransferBytes();
@@ -216,14 +208,10 @@ class Kvfs {
   const PagePool& pool() const { return pool_; }
   uint64_t bytes_per_page() const { return bytes_per_page_; }
   void set_bytes_per_page(uint64_t bytes) { bytes_per_page_ = bytes; }
-  void set_eviction_hook(EvictionHook hook) { eviction_hook_ = std::move(hook); }
   void set_page_quota_hook(PageQuotaHook hook) { page_quota_ = std::move(hook); }
 
   // Page references currently attributed to files owned by `owner`.
   uint64_t OwnerPageRefs(LipId owner) const;
-
-  // Direct data access for the serving layer / tests (bypasses ACLs).
-  StatusOr<const KvFileData*> FileData(KvHandle handle) const;
 
  private:
   struct FileEntry {
@@ -239,6 +227,10 @@ class Kvfs {
     SimTime last_access = 0;
     uint32_t generation = 0;
     bool live = false;
+
+    bool LockedAgainst(LipId lip) const {
+      return lock_holder != kNoLip && lock_holder != lip;
+    }
   };
   struct HandleEntry {
     FileId file = kInvalidFile;
@@ -252,20 +244,32 @@ class Kvfs {
   SimTime Now();
   FileId AllocateFileSlot();
   void ReclaimIfOrphaned(FileId id);
-  StatusOr<HandleEntry*> ResolveHandle(KvHandle handle);
-  StatusOr<const HandleEntry*> ResolveHandle(KvHandle handle) const;
-  FileEntry& File(FileId id) { return files_[id]; }
-  const FileEntry& File(FileId id) const { return files_[id]; }
+  StatusOr<HandleEntry> ResolveHandle(KvHandle handle) const;
   StatusOr<KvHandle> MakeHandle(FileId file, LipId requester, bool read, bool write);
   bool MayRead(const FileEntry& file, LipId requester) const;
   bool MayWrite(const FileEntry& file, LipId requester) const;
-  // Appends with eviction-on-pressure retry.
-  Status AppendWithEviction(FileEntry& file, const TokenRecord& record);
-  // Evicts one eligible file; returns false if none eligible.
+  // Creates an anonymous private file owned by `owner`, fills it with `fill`
+  // and opens it; a failed fill reclaims the file. The file is held open
+  // while `fill` runs so that eviction cannot pick it.
+  StatusOr<KvHandle> NewFile(LipId owner,
+                             const std::function<Status(FileEntry&)>& fill);
+  // Append/ImportRecords: checks the handle, then AppendAll.
+  Status AppendRecords(KvHandle handle, std::span<const TokenRecord> records,
+                       Tier tier);
+  // Appends `records` with new pages in `tier`, all or nothing. A full GPU
+  // tier evicts other files and retries; the owner's page quota is checked
+  // after every record.
+  Status AppendAll(FileEntry& file, std::span<const TokenRecord> records,
+                   Tier tier);
+  // Moves every page of `file` not already in `to` there, charging one
+  // page of PCIe traffic per move. Stops at the first failure.
+  Status MovePages(FileEntry& file, Tier to);
+  // Ensures at least `pages` free GPU pages, evicting eligible files.
+  Status ReserveGpuPages(uint64_t pages);
+  // Evicts the least-recently-used eligible file; false if there is none.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).
   bool OverPageQuota(LipId owner) const;
-  std::vector<KvFileInfo> EligibleVictims() const;
   KvFileInfo InfoFor(FileId id) const;
 
   KvfsOptions options_;
@@ -278,7 +282,6 @@ class Kvfs {
   std::vector<HandleEntry> handles_;
   std::vector<uint32_t> free_handle_slots_;
   std::unordered_map<std::string, FileId> names_;
-  EvictionHook eviction_hook_;
   PageQuotaHook page_quota_;
   // KV bytes per page; the serving layer overwrites this from its model
   // config (default: Llama-13B geometry).

@@ -534,30 +534,6 @@ TEST_F(KvfsTest, OpenFilesNeverEvicted) {
   EXPECT_TRUE(fs.Exists("/kv/active"));
 }
 
-TEST_F(KvfsTest, EvictionHookOverridesChoice) {
-  Kvfs fs(Options(EvictionMode::kDropLru, /*gpu_pages=*/4, /*host_pages=*/0));
-  OpenOptions create{.requester = kAlice, .write = true, .create = true};
-  KvHandle a = *fs.Open("/kv/first", create);
-  ASSERT_TRUE(fs.Append(a, MakeRecords(16)).ok());
-  ASSERT_TRUE(fs.Close(a).ok());
-  KvHandle b = *fs.Open("/kv/second", create);
-  ASSERT_TRUE(fs.Append(b, MakeRecords(16)).ok());
-  ASSERT_TRUE(fs.Close(b).ok());
-  // LRU would evict /kv/first; the hook picks /kv/second instead.
-  fs.set_eviction_hook([](const std::vector<KvFileInfo>& candidates) {
-    for (const KvFileInfo& info : candidates) {
-      if (info.path == "/kv/second") {
-        return std::optional<FileId>(info.id);
-      }
-    }
-    return std::optional<FileId>();
-  });
-  KvHandle c = *fs.Open("/kv/third", create);
-  ASSERT_TRUE(fs.Append(c, MakeRecords(48)).ok());
-  EXPECT_TRUE(fs.Exists("/kv/first"));
-  EXPECT_FALSE(fs.Exists("/kv/second"));
-}
-
 TEST_F(KvfsTest, OffloadAndRestoreRoundTrip) {
   Kvfs fs(Options(EvictionMode::kOffloadLru, 8, 8));
   OpenOptions create{.requester = kAlice, .write = true, .create = true};
