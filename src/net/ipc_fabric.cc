@@ -30,7 +30,6 @@ IpcFabric::IpcFabric(Simulator* sim, const CostModel* cost, FaultPlan* faults,
 void IpcFabric::AttachReplica(size_t index, LipRuntime* runtime) {
   if (index >= runtimes_.size()) {
     runtimes_.resize(index + 1, nullptr);
-    dead_.resize(index + 1, false);
     fenced_.resize(index + 1, false);
     fence_epoch_.resize(index + 1, 0);
     replica_stats_.resize(index + 1);
@@ -54,22 +53,20 @@ void IpcFabric::ReviveReplica(size_t index, LipRuntime* runtime) {
     return;
   }
   runtimes_[index] = runtime;
-  dead_[index] = false;
   fenced_[index] = false;
 }
 
 void IpcFabric::MarkReplicaDead(size_t index) {
-  if (index >= dead_.size()) {
+  if (index >= runtimes_.size()) {
     // An unknown replica cannot hold waiters or bytes; marking it dead is a
     // caller bug (wrong index), and ignoring it would quietly leave the REAL
     // victim's waiters parked forever. Fail loudly.
     SYMPHONY_LOG(kError) << "MarkReplicaDead: replica " << index
                          << " was never attached (replica count "
-                         << dead_.size() << ")";
+                         << runtimes_.size() << ")";
     assert(false && "MarkReplicaDead on an unattached replica index");
     return;
   }
-  dead_[index] = true;
   DropReplicaWaiters(index);
 }
 
@@ -354,47 +351,22 @@ void IpcFabric::AddWaiter(size_t replica, LipId receiver,
 }
 
 void IpcFabric::DropWaiters(size_t replica, LipId lip) {
-  for (auto& [name, ch] : channels_) {
-    std::deque<Waiter> kept;
-    for (const Waiter& w : ch.waiters) {
-      if (w.replica == replica && w.lip == lip) {
-        continue;
-      }
-      kept.push_back(w);
-    }
-    ch.waiters = std::move(kept);
-    // Parked senders of the dead endpoint never consumed a credit (the
-    // message is still in the killed frame's slot): scrub, nothing to
-    // refund. A replayed incarnation re-runs the send and re-parks.
-    std::deque<SendWaiter> kept_senders;
-    for (const SendWaiter& w : ch.send_waiters) {
-      if (w.replica == replica && w.lip == lip) {
-        continue;
-      }
-      kept_senders.push_back(w);
-    }
-    ch.send_waiters = std::move(kept_senders);
-  }
+  ScrubWaiters([&](size_t r, LipId l) { return r == replica && l == lip; });
 }
 
 void IpcFabric::DropReplicaWaiters(size_t replica) {
+  ScrubWaiters([&](size_t r, LipId) { return r == replica; });
+}
+
+void IpcFabric::ScrubWaiters(const std::function<bool(size_t, LipId)>& gone) {
   for (auto& [name, ch] : channels_) {
-    std::deque<Waiter> kept;
-    for (const Waiter& w : ch.waiters) {
-      if (w.replica == replica) {
-        continue;
-      }
-      kept.push_back(w);
-    }
-    ch.waiters = std::move(kept);
-    std::deque<SendWaiter> kept_senders;
-    for (const SendWaiter& w : ch.send_waiters) {
-      if (w.replica == replica) {
-        continue;
-      }
-      kept_senders.push_back(w);
-    }
-    ch.send_waiters = std::move(kept_senders);
+    std::erase_if(ch.waiters,
+                  [&](const Waiter& w) { return gone(w.replica, w.lip); });
+    // Parked senders of a dead endpoint never consumed a credit (the
+    // message is still in the killed frame's slot): scrub, nothing to
+    // refund. A replayed incarnation re-runs the send and re-parks.
+    std::erase_if(ch.send_waiters,
+                  [&](const SendWaiter& w) { return gone(w.replica, w.lip); });
   }
 }
 

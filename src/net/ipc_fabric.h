@@ -75,6 +75,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -322,6 +323,8 @@ class IpcFabric : public ChannelFabric {
   void Drain(const std::string& name, ChannelState& ch);
   void DropMessage(const std::string& name, ChannelState& ch, uint64_t msg_id);
   Message* FindMessage(ChannelState& ch, uint64_t msg_id);
+  // Removes every parked receiver and sender for which `gone(replica, lip)`.
+  void ScrubWaiters(const std::function<bool(size_t, LipId)>& gone);
   SimDuration RetryDelay(const std::string& name, const Message& msg) const;
 
   Simulator* sim_;
@@ -329,7 +332,6 @@ class IpcFabric : public ChannelFabric {
   TraceRecorder* trace_;  // Optional.
   IpcFabricOptions options_;
   std::vector<LipRuntime*> runtimes_;
-  std::vector<bool> dead_;
   std::vector<bool> fenced_;
   std::vector<uint64_t> fence_epoch_;
   std::vector<IpcReplicaStats> replica_stats_;

@@ -335,6 +335,9 @@ class LipContext {
   LipRuntime* runtime_for_testing() { return runtime_; }
 
  private:
+  // Registers an opened handle with the runtime (closed at LIP exit).
+  StatusOr<KvHandle> Track(StatusOr<KvHandle> handle);
+
   LipRuntime* runtime_;
   LipId lip_;
 };

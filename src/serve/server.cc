@@ -30,7 +30,6 @@ KvfsOptions MakeKvfsOptions(const ServerOptions& options, Simulator* sim,
       static_cast<uint64_t>(kPageTokens) * options.model.KvBytesPerToken();
   kv.gpu_page_budget = cost.DeviceKvBudgetBytes() / page_bytes;
   kv.host_page_budget = options.hardware.host_bytes / page_bytes;
-  kv.eviction = options.eviction;
   kv.clock = [sim] { return sim->now(); };
   return kv;
 }

@@ -99,8 +99,6 @@ struct ServerOptions {
   SimDuration batch_timeout = Millis(5);
   // PoissonAdaptive parameter (when selected).
   SimDuration batch_max_wait = Millis(20);
-  // KVFS eviction when the device KV budget fills.
-  EvictionMode eviction = EvictionMode::kOffloadLru;
   // Optional execution trace (non-owning; must outlive the server). Records
   // GPU batch spans, LIP lifetime spans, and tool-call spans; dump with
   // TraceRecorder::WriteChromeJson for chrome://tracing / Perfetto.
