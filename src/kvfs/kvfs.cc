@@ -498,12 +498,12 @@ Status Kvfs::SetMode(KvHandle handle, uint8_t mode) {
 }
 
 Status Kvfs::MovePages(FileEntry& file, Tier to) {
+  if (to == Tier::kGpu) {
+    SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(file));
+  }
   for (PageId page : file.data->pages()) {
     if (pool_.tier(page) == to) {
       continue;
-    }
-    if (to == Tier::kGpu) {
-      SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(1));
     }
     SYMPHONY_RETURN_IF_ERROR(pool_.MoveToTier(page, to));
     pending_transfer_bytes_ += bytes_per_page_;
@@ -525,8 +525,8 @@ Status Kvfs::RestoreToGpu(KvHandle handle) {
   return Status::Ok();
 }
 
-Status Kvfs::ReserveGpuPages(uint64_t pages) {
-  while (pool_.gpu_pages_free() < pages) {
+Status Kvfs::ReserveGpuPages(const FileEntry& file) {
+  while (pool_.gpu_pages_free() < file.data->PagesInTier(Tier::kHost)) {
     if (!EvictOne()) {
       return ResourceExhaustedError("cannot reserve gpu pages");
     }

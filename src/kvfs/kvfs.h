@@ -187,8 +187,9 @@ class Kvfs {
   // Moves all of the file's pages to the host tier.
   Status OffloadToHost(KvHandle handle);
 
-  // Moves the file's host pages back to the GPU tier, evicting other files
-  // if necessary.
+  // Makes all of the file's pages GPU-resident, evicting other files if
+  // necessary. On failure (kResourceExhausted when eviction cannot make
+  // room) no page of the file moves.
   Status RestoreToGpu(KvHandle handle);
 
   // Moves every unpinned file owned by `owner` to the host tier (the §4.3
@@ -262,10 +263,15 @@ class Kvfs {
   Status AppendAll(FileEntry& file, std::span<const TokenRecord> records,
                    Tier tier);
   // Moves every page of `file` not already in `to` there, charging one
-  // page of PCIe traffic per move. Stops at the first failure.
+  // page of PCIe traffic per move. A move to the GPU reserves room for all
+  // pages first, so it either moves every page or none; a move to the host
+  // stops at the first failure.
   Status MovePages(FileEntry& file, Tier to);
-  // Ensures at least `pages` free GPU pages, evicting eligible files.
-  Status ReserveGpuPages(uint64_t pages);
+  // Evicts eligible files until the GPU tier has room for every host page of
+  // `file`. The count is re-read after each eviction: offloading a
+  // copy-on-write sibling also moves the pages it shares with `file` to the
+  // host.
+  Status ReserveGpuPages(const FileEntry& file);
   // Evicts the least-recently-used eligible file; false if there is none.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).

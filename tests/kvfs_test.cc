@@ -553,6 +553,65 @@ TEST_F(KvfsTest, OffloadAndRestoreRoundTrip) {
   EXPECT_EQ(fs.Read(h, 39)->token, recs[39].token);
 }
 
+TEST_F(KvfsTest, RestoreNeverEvictsItsOwnSharedPages) {
+  // `f` shares /doc's two pages copy-on-write. Restoring it page by page
+  // would make the closed /doc eligible again, and evicting /doc pushes the
+  // shared pages just restored back to the host.
+  Kvfs fs(Options(EvictionMode::kOffloadLru, /*gpu_pages=*/3, /*host_pages=*/16));
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle doc = *fs.Open("/doc", create);
+  ASSERT_TRUE(fs.Append(doc, MakeRecords(32)).ok());
+  KvHandle f = *fs.Fork(doc, kAlice);
+  ASSERT_TRUE(fs.Close(doc).ok());
+  ASSERT_TRUE(fs.Append(f, MakeRecords(1, 900)).ok());
+  ASSERT_TRUE(fs.OffloadToHost(f).ok());
+  KvHandle busy = *fs.Open("/busy", create);  // Stays open: not evictable.
+  ASSERT_TRUE(fs.Append(busy, MakeRecords(32)).ok());
+  (void)fs.TakePendingTransferBytes();
+  uint64_t offloaded = fs.stats().offloaded_pages;
+
+  // Only one GPU page is free and nothing can be evicted to make room for
+  // three: the restore fails as a whole.
+  EXPECT_EQ(fs.RestoreToGpu(f).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(fs.Stat(f)->gpu_pages, 0u);
+  EXPECT_EQ(fs.Stat(f)->host_pages, 3u);
+  EXPECT_EQ(fs.stats().restored_pages, 0u);
+  EXPECT_EQ(fs.stats().offloaded_pages, offloaded);
+  EXPECT_EQ(fs.TakePendingTransferBytes(), 0u);
+
+  // With /busy gone there is room, and an OK restore is a full one.
+  ASSERT_TRUE(fs.Close(busy).ok());
+  ASSERT_TRUE(fs.Remove("/busy", kAlice).ok());
+  ASSERT_TRUE(fs.RestoreToGpu(f).ok());
+  EXPECT_EQ(fs.Stat(f)->gpu_pages, 3u);
+  EXPECT_EQ(fs.Stat(f)->host_pages, 0u);
+  EXPECT_EQ(fs.Read(f, 32)->token, 900);
+}
+
+TEST_F(KvfsTest, RestoreRecountsPagesAnEvictionPushedToHost) {
+  // `f` = /doc's two GPU pages (shared) + one host page. Making room for the
+  // host page evicts /doc, which moves the shared pages to the host as well.
+  Kvfs fs(Options(EvictionMode::kOffloadLru, /*gpu_pages=*/3, /*host_pages=*/16));
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle doc = *fs.Open("/doc", create);
+  ASSERT_TRUE(fs.Append(doc, MakeRecords(32)).ok());
+  KvHandle f = *fs.Fork(doc, kAlice);
+  ASSERT_TRUE(fs.ImportRecords(f, MakeRecords(16, 900), Tier::kHost).ok());
+  ASSERT_TRUE(fs.Close(doc).ok());
+  KvHandle busy = *fs.Open("/busy", create);
+  ASSERT_TRUE(fs.Append(busy, MakeRecords(16)).ok());
+  ASSERT_EQ(fs.pool().gpu_pages_free(), 0u);
+
+  EXPECT_EQ(fs.RestoreToGpu(f).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(fs.stats().restored_pages, 0u);
+  EXPECT_EQ(fs.Stat(f)->host_pages, 3u);
+
+  ASSERT_TRUE(fs.Close(busy).ok());
+  ASSERT_TRUE(fs.RestoreToGpu(f).ok());
+  EXPECT_EQ(fs.Stat(f)->gpu_pages, 3u);
+  EXPECT_EQ(fs.Stat(f)->host_pages, 0u);
+}
+
 TEST_F(KvfsTest, ListFiltersByPrefix) {
   Kvfs fs(Options());
   OpenOptions create{.requester = kAlice, .write = true, .create = true};
