@@ -6,7 +6,10 @@
 namespace symphony {
 
 KvFileData::KvFileData(KvFileData&& other) noexcept
-    : pool_(other.pool_), pages_(std::move(other.pages_)), length_(other.length_) {
+    : pool_(other.pool_),
+      pages_(std::move(other.pages_)),
+      length_(other.length_),
+      page_ref_observer_(std::move(other.page_ref_observer_)) {
   other.pages_.clear();
   other.length_ = 0;
 }
@@ -17,6 +20,7 @@ KvFileData& KvFileData::operator=(KvFileData&& other) noexcept {
     pool_ = other.pool_;
     pages_ = std::move(other.pages_);
     length_ = other.length_;
+    page_ref_observer_ = std::move(other.page_ref_observer_);
     other.pages_.clear();
     other.length_ = 0;
   }

@@ -668,6 +668,20 @@ TEST_F(KvfsTest, OwnerPageRefsTrackLifecycle) {
   (void)bob_fork;
 }
 
+TEST_F(KvfsTest, OwnerPageRefsSurviveFileTableGrowth) {
+  Kvfs fs(Options());
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle first = *fs.Open("/kv/first", create);
+  // Enough files to move every earlier entry of the file table.
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(fs.CreateAnonymous(kAlice).ok());
+  }
+  ASSERT_TRUE(fs.Append(first, MakeRecords(40)).ok());  // 3 pages.
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 3u);
+  ASSERT_TRUE(fs.Truncate(first, 0).ok());
+  EXPECT_EQ(fs.OwnerPageRefs(kAlice), 0u);
+}
+
 TEST_F(KvfsTest, PageQuotaHookEnforced) {
   Kvfs fs(Options());
   fs.set_page_quota_hook([](LipId owner) -> uint64_t {

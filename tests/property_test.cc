@@ -1,12 +1,15 @@
 // Property-based tests (parameterized sweeps) on the core invariants:
 //   * PagePool vs a reference model under random op sequences,
 //   * KvFileData vs a reference vector under random append/truncate/clone,
+//   * Kvfs vs per-file reference vectors under random namespace, fork,
+//     extract/merge and offload/restore steps on tiny tier budgets,
 //   * model state: shared prefix <=> shared state,
 //   * Distribution axioms across many hidden states,
 //   * regex engine differential-tested against std::regex,
 //   * JSON machine against a generator of random valid documents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <regex>
@@ -18,6 +21,7 @@
 #include "src/decode/json_machine.h"
 #include "src/decode/regex.h"
 #include "src/kvfs/kv_file.h"
+#include "src/kvfs/kvfs.h"
 #include "src/kvfs/page_pool.h"
 #include "src/model/cost_model.h"
 #include "src/model/model.h"
@@ -240,6 +244,261 @@ TEST_P(KvFilePropertyTest, MatchesVectorReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvFilePropertyTest,
                          ::testing::ValuesIn(PropertySeeds({5, 6, 7, 8, 4242}, 2)));
+
+// ---------------------------------------------------------------------------
+// Kvfs: random namespace, data-plane and residency steps on tiny tier budgets
+// vs std::vector references.
+// ---------------------------------------------------------------------------
+
+class KvfsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KvfsPropertyTest, MatchesReferencesWithinBudgets) {
+  Rng rng(GetParam());
+  constexpr uint64_t kGpuBudget = 6;
+  constexpr uint64_t kHostBudget = 12;
+  constexpr LipId kLip = 10;
+  KvfsOptions options;
+  options.gpu_page_budget = kGpuBudget;
+  options.host_page_budget = kHostBudget;
+  options.eviction = rng.NextBounded(3) == 0 ? EvictionMode::kDropLru
+                                             : EvictionMode::kOffloadLru;
+  Kvfs fs(options);
+
+  // One reference per file, shared by every handle open on it.
+  struct RefFile {
+    std::vector<TokenRecord> records;
+    bool pinned = false;
+  };
+  struct OpenFile {
+    KvHandle handle;
+    std::shared_ptr<RefFile> ref;
+  };
+  std::map<std::string, std::shared_ptr<RefFile>> named;
+  std::vector<OpenFile> open;
+  int32_t next_pos = 0;
+
+  auto contents = [&](KvHandle h) {
+    StatusOr<KvFileSnapshot> snap = fs.ExportSnapshot(h);
+    EXPECT_TRUE(snap.ok());
+    return snap.ok() ? snap->records : std::vector<TokenRecord>{};
+  };
+  auto same = [](const std::vector<TokenRecord>& a,
+                 const std::vector<TokenRecord>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const TokenRecord& x, const TokenRecord& y) {
+                        return x.token == y.token && x.position == y.position &&
+                               x.state == y.state;
+                      });
+  };
+  auto make_records = [&](uint64_t n) {
+    std::vector<TokenRecord> recs;
+    for (uint64_t i = 0; i < n; ++i) {
+      recs.push_back({static_cast<TokenId>(260 + rng.NextBounded(40)),
+                      next_pos++, rng.NextU64()});
+    }
+    return recs;
+  };
+  auto pick = [&]() -> OpenFile& { return open[rng.NextBounded(open.size())]; };
+  auto open_path = [&](bool create) {
+    std::string path = "/f" + std::to_string(rng.NextBounded(5));
+    StatusOr<KvHandle> h = fs.Open(
+        path, OpenOptions{.requester = kLip, .write = true, .create = create});
+    if (!h.ok()) {
+      ASSERT_FALSE(create);
+      ASSERT_EQ(h.status().code(), StatusCode::kNotFound);
+      ASSERT_EQ(named.count(path), 0u);
+      return;
+    }
+    auto& ref = named[path];
+    if (ref == nullptr) {
+      ASSERT_TRUE(create);
+      ref = std::make_shared<RefFile>();
+    }
+    ASSERT_TRUE(same(contents(*h), ref->records)) << path;
+    open.push_back(OpenFile{*h, ref});
+  };
+  auto add_new = [&](StatusOr<KvHandle> h, std::vector<TokenRecord> records) {
+    if (!h.ok()) {
+      ASSERT_EQ(h.status().code(), StatusCode::kResourceExhausted);
+      return;
+    }
+    auto ref = std::make_shared<RefFile>();
+    ref->records = std::move(records);
+    open.push_back(OpenFile{*h, ref});
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    uint64_t op = rng.NextBounded(14);
+    if (open.empty() && op >= 4) {
+      op = 0;
+    }
+    switch (op) {
+      case 0:  // Create (or open) a named file.
+      case 1:  // Open an existing named file.
+        if (open.size() < 8) {
+          open_path(op == 0);
+        }
+        break;
+      case 2:  // Anonymous file.
+        if (open.size() < 8) {
+          add_new(fs.CreateAnonymous(kLip), {});
+        }
+        break;
+      case 3: {  // Remove a name; open handles keep the file.
+        if (named.empty()) {
+          break;
+        }
+        auto it = named.begin();
+        std::advance(it, rng.NextBounded(named.size()));
+        ASSERT_TRUE(fs.Remove(it->first, kLip).ok());
+        named.erase(it);
+        break;
+      }
+      case 4:  // Fork.
+        if (open.size() < 8) {
+          OpenFile& src = pick();
+          add_new(fs.Fork(src.handle, kLip), src.ref->records);
+        }
+        break;
+      case 5:
+      case 6: {  // Append 1..20 records, all or nothing.
+        OpenFile& target = pick();
+        std::vector<TokenRecord> recs = make_records(1 + rng.NextBounded(20));
+        Status st = fs.Append(target.handle, recs);
+        if (st.ok()) {
+          target.ref->records.insert(target.ref->records.end(), recs.begin(),
+                                     recs.end());
+        } else {
+          ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+        }
+        break;
+      }
+      case 7: {  // Truncate. A copy-on-write of the new tail page can fail
+                 // once the shorter length is set; the records kept are
+                 // still intact.
+        OpenFile& target = pick();
+        uint64_t keep = rng.NextBounded(target.ref->records.size() + 1);
+        Status st = fs.Truncate(target.handle, keep);
+        if (!st.ok()) {
+          ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+        }
+        target.ref->records.resize(*fs.Length(target.handle));
+        break;
+      }
+      case 8: {  // Close.
+        size_t idx = rng.NextBounded(open.size());
+        ASSERT_TRUE(fs.Close(open[idx].handle).ok());
+        open[idx] = std::move(open.back());
+        open.pop_back();
+        break;
+      }
+      case 9: {  // Pin or unpin.
+        OpenFile& target = pick();
+        target.ref->pinned = !target.ref->pinned;
+        ASSERT_TRUE((target.ref->pinned ? fs.Pin(target.handle)
+                                        : fs.Unpin(target.handle))
+                        .ok());
+        break;
+      }
+      case 10: {  // Offload one file, or everything the LIP owns.
+        if (rng.NextBounded(2) == 0) {
+          fs.OffloadOwnedBy(kLip);
+          break;
+        }
+        Status st = fs.OffloadToHost(pick().handle);
+        if (!st.ok()) {
+          ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+        }
+        break;
+      }
+      case 11: {  // Restore: OK means fully on the GPU.
+        OpenFile& target = pick();
+        StatusOr<KvFileInfo> before = fs.Stat(target.handle);
+        uint64_t restored = fs.stats().restored_pages;
+        Status st = fs.RestoreToGpu(target.handle);
+        StatusOr<KvFileInfo> after = fs.Stat(target.handle);
+        if (st.ok()) {
+          ASSERT_EQ(after->host_pages, 0u) << "step " << step;
+        } else {
+          ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+          ASSERT_EQ(fs.stats().restored_pages, restored) << "step " << step;
+          ASSERT_GE(after->host_pages, before->host_pages) << "step " << step;
+        }
+        break;
+      }
+      case 12: {  // Extract a random strictly increasing subset.
+        if (open.size() >= 8) {
+          break;
+        }
+        OpenFile& src = pick();
+        std::vector<uint64_t> indices;
+        std::vector<TokenRecord> expected;
+        for (uint64_t i = 0; i < src.ref->records.size(); ++i) {
+          if (rng.NextBounded(3) == 0) {
+            indices.push_back(i);
+            expected.push_back(src.ref->records[i]);
+          }
+        }
+        add_new(fs.Extract(src.handle, indices, kLip), std::move(expected));
+        break;
+      }
+      case 13: {  // Merge 1..3 sources (repeats allowed).
+        if (open.size() >= 8) {
+          break;
+        }
+        std::vector<KvHandle> sources;
+        std::vector<TokenRecord> expected;
+        for (uint64_t n = 1 + rng.NextBounded(3); n > 0; --n) {
+          OpenFile& src = pick();
+          sources.push_back(src.handle);
+          expected.insert(expected.end(), src.ref->records.begin(),
+                          src.ref->records.end());
+        }
+        add_new(fs.Merge(sources, kLip), std::move(expected));
+        break;
+      }
+    }
+
+    // Eviction may drop a closed, unpinned named file, never another one.
+    for (auto it = named.begin(); it != named.end();) {
+      if (fs.Exists(it->first)) {
+        ++it;
+        continue;
+      }
+      ASSERT_FALSE(it->second->pinned) << it->first;
+      for (const OpenFile& f : open) {
+        ASSERT_NE(f.ref, it->second) << it->first;
+      }
+      it = named.erase(it);
+    }
+    uint64_t page_refs = 0;
+    for (const KvFileInfo& info : fs.ListAll()) {
+      page_refs += info.gpu_pages + info.host_pages;
+    }
+    ASSERT_EQ(fs.OwnerPageRefs(kLip), page_refs) << "step " << step;
+    ASSERT_LE(fs.pool().stats().gpu_pages_used, kGpuBudget);
+    ASSERT_LE(fs.pool().stats().host_pages_used, kHostBudget);
+    if (!open.empty()) {
+      const OpenFile& check = pick();
+      ASSERT_TRUE(same(contents(check.handle), check.ref->records))
+          << "step " << step;
+    }
+  }
+
+  for (const OpenFile& f : open) {
+    EXPECT_TRUE(same(contents(f.handle), f.ref->records));
+    ASSERT_TRUE(fs.Close(f.handle).ok());
+  }
+  for (const auto& [path, ref] : named) {
+    ASSERT_TRUE(fs.Remove(path, kLip).ok());
+  }
+  EXPECT_EQ(fs.pool().stats().gpu_pages_used, 0u);
+  EXPECT_EQ(fs.pool().stats().host_pages_used, 0u);
+  EXPECT_EQ(fs.OwnerPageRefs(kLip), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvfsPropertyTest,
+                         ::testing::ValuesIn(PropertySeeds({21, 22, 23, 24, 25, 26}, 8)));
 
 // ---------------------------------------------------------------------------
 // Model state: shared prefix <=> shared state.
