@@ -499,7 +499,10 @@ Status Kvfs::SetMode(KvHandle handle, uint8_t mode) {
 
 Status Kvfs::MovePages(FileEntry& file, Tier to) {
   if (to == Tier::kGpu) {
-    SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(file));
+    SYMPHONY_ASSIGN_OR_RETURN(uint64_t missing, ReserveGpuPages(file));
+    if (missing == 0) {
+      return Status::Ok();
+    }
   }
   for (PageId page : file.data->pages()) {
     if (pool_.tier(page) == to) {
@@ -525,13 +528,15 @@ Status Kvfs::RestoreToGpu(KvHandle handle) {
   return Status::Ok();
 }
 
-Status Kvfs::ReserveGpuPages(const FileEntry& file) {
-  while (pool_.gpu_pages_free() < file.data->PagesInTier(Tier::kHost)) {
+StatusOr<uint64_t> Kvfs::ReserveGpuPages(const FileEntry& file) {
+  uint64_t missing = file.data->PagesInTier(Tier::kHost);
+  while (pool_.gpu_pages_free() < missing) {
     if (!EvictOne()) {
       return ResourceExhaustedError("cannot reserve gpu pages");
     }
+    missing = file.data->PagesInTier(Tier::kHost);
   }
-  return Status::Ok();
+  return missing;
 }
 
 void Kvfs::OffloadOwnedBy(LipId owner) {

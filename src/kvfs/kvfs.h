@@ -184,7 +184,8 @@ class Kvfs {
 
   // ---- Residency (used by the serving layer) --------------------------
 
-  // Moves all of the file's pages to the host tier.
+  // Moves the file's GPU pages to the host tier. Fails with
+  // kResourceExhausted, leaving the rest on the GPU, if the host tier fills.
   Status OffloadToHost(KvHandle handle);
 
   // Makes all of the file's pages GPU-resident, evicting other files if
@@ -268,10 +269,10 @@ class Kvfs {
   // stops at the first failure.
   Status MovePages(FileEntry& file, Tier to);
   // Evicts eligible files until the GPU tier has room for every host page of
-  // `file`. The count is re-read after each eviction: offloading a
-  // copy-on-write sibling also moves the pages it shares with `file` to the
-  // host.
-  Status ReserveGpuPages(const FileEntry& file);
+  // `file`, and returns how many there are. The count is re-read after each
+  // eviction: offloading a copy-on-write sibling also moves the pages it
+  // shares with `file` to the host.
+  StatusOr<uint64_t> ReserveGpuPages(const FileEntry& file);
   // Evicts the least-recently-used eligible file; false if there is none.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).
