@@ -554,9 +554,9 @@ TEST_F(KvfsTest, OffloadAndRestoreRoundTrip) {
 }
 
 TEST_F(KvfsTest, RestoreNeverEvictsItsOwnSharedPages) {
-  // `f` shares /doc's two pages copy-on-write. Restoring it page by page
-  // would make the closed /doc eligible again, and evicting /doc pushes the
-  // shared pages just restored back to the host.
+  // `f` shares /doc's two pages copy-on-write. A restore that moved a shared
+  // page before it had room for all three would make the closed /doc
+  // eligible again, and evicting /doc pushes that page back to the host.
   Kvfs fs(Options(EvictionMode::kOffloadLru, /*gpu_pages=*/3, /*host_pages=*/16));
   OpenOptions create{.requester = kAlice, .write = true, .create = true};
   KvHandle doc = *fs.Open("/doc", create);
