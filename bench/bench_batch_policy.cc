@@ -32,9 +32,6 @@ PolicyResult RunDecodeLoad(BatchPolicyKind policy, double lips_per_sec, int num_
   Simulator sim;
   ServerOptions options;
   options.batch_policy = policy;
-  options.batch_target_size = 16;
-  options.batch_timeout = Millis(5);
-  options.batch_max_wait = Millis(15);
   SymphonyServer server(&sim, options);
 
   constexpr int kContextTokens = 256;

@@ -88,7 +88,6 @@ ControlPlaneOptions ScaledCtrl(SimDuration heartbeat_period) {
   ControlPlaneOptions ctrl;
   ctrl.enabled = true;
   ctrl.heartbeat_period = heartbeat_period;
-  ctrl.heartbeat_jitter = 0.25;
   ctrl.suspect_after = heartbeat_period * 2;
   ctrl.lease = heartbeat_period * 7 / 2;
   ctrl.declare_dead_after = heartbeat_period * 5;

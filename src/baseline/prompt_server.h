@@ -50,10 +50,6 @@ struct CompletionResponse {
   bool cache_hit = false;
 
   SimDuration e2e_latency() const { return finish_time - arrival; }
-  double latency_per_token_ms() const {
-    return tokens.empty() ? 0.0
-                          : ToMillis(e2e_latency()) / static_cast<double>(tokens.size());
-  }
 };
 
 struct BaselineOptions {

@@ -75,6 +75,12 @@ Status KvFileData::Truncate(uint64_t new_length) {
     return Status::Ok();
   }
   size_t keep_pages = static_cast<size_t>((new_length + kPageTokens - 1) / kPageTokens);
+  uint32_t tail_used = static_cast<uint32_t>(new_length % kPageTokens);
+  if (tail_used != 0) {
+    // Shrinking `used` on a shared page would corrupt siblings: COW the kept
+    // tail first, so a failed copy leaves the file untouched.
+    SYMPHONY_RETURN_IF_ERROR(MakeExclusive(keep_pages - 1));
+  }
   int64_t dropped = 0;
   while (pages_.size() > keep_pages) {
     pool_->Unref(pages_.back());
@@ -83,10 +89,7 @@ Status KvFileData::Truncate(uint64_t new_length) {
   }
   NotifyDelta(dropped);
   length_ = new_length;
-  uint32_t tail_used = static_cast<uint32_t>(new_length % kPageTokens);
-  if (tail_used != 0 && !pages_.empty()) {
-    // Shrinking `used` on a shared page would corrupt siblings: COW first.
-    SYMPHONY_RETURN_IF_ERROR(MakeExclusive(pages_.size() - 1));
+  if (tail_used != 0) {
     pool_->set_used(pages_.back(), tail_used);
   }
   return Status::Ok();

@@ -208,7 +208,6 @@ class Kvfs {
   std::vector<KvFileInfo> ListAll() const;
   const KvfsStats& stats() const { return stats_; }
   const PagePool& pool() const { return pool_; }
-  uint64_t bytes_per_page() const { return bytes_per_page_; }
   void set_bytes_per_page(uint64_t bytes) { bytes_per_page_ = bytes; }
   void set_page_quota_hook(PageQuotaHook hook) { page_quota_ = std::move(hook); }
 

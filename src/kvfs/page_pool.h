@@ -63,9 +63,6 @@ class PagePool {
   Tier tier(PageId id) const;
 
   uint64_t gpu_pages_free() const { return gpu_budget_ - stats_.gpu_pages_used; }
-  uint64_t host_pages_free() const { return host_budget_ - stats_.host_pages_used; }
-  uint64_t gpu_budget() const { return gpu_budget_; }
-  uint64_t host_budget() const { return host_budget_; }
   const PagePoolStats& stats() const { return stats_; }
 
  private:

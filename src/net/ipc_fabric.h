@@ -97,20 +97,13 @@ struct IpcFabricOptions {
   // How long a message may stay stuck behind a partition before it is
   // dropped (per message, measured from its first blocked attempt).
   SimDuration send_deadline = Millis(250);
-  // Exponential backoff for blocked transfers: base * 2^(attempt-1), capped.
+  // Exponential backoff for blocked transfers: base * 2^(attempt-1), capped,
+  // then stretched by a deterministic jitter (see ipc_fabric.cc).
   SimDuration retry_base = Millis(1);
   SimDuration retry_cap = Millis(32);
-  // Deterministic jitter: each retry delay is stretched by a factor drawn
-  // uniformly from [1 - retry_jitter, 1 + retry_jitter].
-  double retry_jitter = 0.2;
-  uint64_t seed = 0x1Bc;
   // Credit capacity applied to every channel at creation; 0 = unbounded
   // (send never blocks). SetChannelCredits overrides per channel.
   uint64_t channel_credits = 0;
-  // Admission backpressure: each sender parked for a credit on a replica
-  // inflates that replica's projected queue delay by this much (see
-  // BackpressureDelay and SymphonyServer::set_backpressure_hook).
-  SimDuration backpressure_penalty = Micros(50);
 };
 
 struct IpcReplicaStats {
@@ -227,8 +220,8 @@ class IpcFabric : public ChannelFabric {
   void SetChannelCredits(const std::string& channel, uint64_t capacity);
 
   // Senders currently parked for a credit on channels, sending from
-  // `replica`, and the admission-facing penalty derived from them
-  // (parked * options.backpressure_penalty) — wired into
+  // `replica`, and the admission-facing penalty derived from them (a fixed
+  // 50us per parked sender) — wired into
   // SymphonyServer::set_backpressure_hook by the cluster.
   size_t ParkedSenders(size_t replica) const;
   SimDuration BackpressureDelay(size_t replica) const;

@@ -50,7 +50,6 @@ SymphonyCluster::SymphonyCluster(Simulator* sim, ClusterOptions options)
       sim_, cost_model_.get(), options_.server.fault_plan,
       options_.server.trace, topology_options);
   SnapshotStoreOptions store_options;
-  store_options.chunk_bytes = options_.store_chunk_bytes;
   store_options.sim = sim_;
   store_options.cost = cost_model_.get();
   store_options.fault_plan = options_.server.fault_plan;
@@ -277,10 +276,8 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
                          static_cast<double>(totals.placeable);
         if (static_cast<double>(Load(pick) + 1) >
             options_.load_factor * average) {
-          // Hot key: the preferred replica is over its bound. The overflow
-          // is both a routing decision and a load signal (see
-          // MaybeShedOnOverflow).
-          NoteOverflow();
+          // Hot key: the preferred replica is over its bound.
+          ++counters_.overflow_events;
           pick = LeastLoaded();
         }
       }
@@ -296,34 +293,6 @@ size_t SymphonyCluster::RouteFor(const std::string& affinity_key,
     next_round_robin_ = (pick + 1) % n;
   }
   return pick;
-}
-
-void SymphonyCluster::NoteOverflow() const {
-  ++counters_.overflow_events;
-  SimTime now = sim_->now();
-  if (now - overflow_window_start_ > options_.overflow_window) {
-    overflow_window_start_ = now;
-    overflow_in_window_ = 0;
-  }
-  ++overflow_in_window_;
-}
-
-void SymphonyCluster::MaybeShedOnOverflow() {
-  if (!options_.rebalance_on_overflow || !options_.enable_recovery ||
-      overflow_in_window_ < options_.overflow_threshold) {
-    return;
-  }
-  SimTime now = sim_->now();
-  if (last_overflow_rebalance_ >= 0 &&
-      now - last_overflow_rebalance_ < options_.overflow_cooldown) {
-    return;
-  }
-  last_overflow_rebalance_ = now;
-  overflow_in_window_ = 0;
-  ++counters_.overflow_rebalances;
-  // Deferred one dispatch: Launch's placement must settle before migration
-  // decisions read the load it just added.
-  sim_->ScheduleAt(now, [this] { (void)Rebalance(); });
 }
 
 std::function<void(LipId)> SymphonyCluster::MakeOnExit(uint64_t uid) {
@@ -474,7 +443,6 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
     std::function<void(LipId)> on_exit) {
   size_t replica = RouteFor(affinity_key, prefill_hint_tokens);
   ++slots_[replica].launched;
-  MaybeShedOnOverflow();
   if (!options_.enable_recovery) {
     LipId lip = slots_[replica].server->Launch(
         std::move(name), std::move(program), std::move(on_exit));
@@ -512,7 +480,6 @@ SymphonyCluster::ClusterLip SymphonyCluster::Launch(
 SymphonyCluster::ClusterAdmitResult SymphonyCluster::Submit(
     SymphonyServer::LaunchSpec spec, const std::string& affinity_key) {
   size_t preferred = RouteFor(affinity_key, spec.prefill_hint_tokens);
-  MaybeShedOnOverflow();
   // Candidate order: the routed replica first, then (with reroute enabled)
   // the other placeable replicas from least to most loaded, with
   // control-plane-suspected replicas demoted to the very end.
@@ -1075,40 +1042,31 @@ size_t SymphonyCluster::Rebalance() {
   if (totals.placeable < 2) {
     return 0;
   }
+  // A replica above load_factor x the live average sheds its lowest-uid
+  // LIPs to the emptiest replica — but only moves that strictly improve
+  // balance (target + 1 < source on the planned loads). Without that guard
+  // a single straggler ping-pongs between replicas forever, each migration
+  // restarting it before it can finish.
+  double average = static_cast<double>(totals.lips) /
+                   static_cast<double>(totals.placeable);
+  double bound = options_.load_factor * average;
+  std::vector<size_t> planned = loads;  // SIZE_MAX marks unusable replicas.
   std::vector<std::pair<uint64_t, size_t>> moves;
-  if (rebalance_hook_) {
-    moves = rebalance_hook_(loads);
-  } else {
-    // Default policy: a replica above load_factor x the live average sheds
-    // LIPs to the emptiest replica — but only moves that strictly improve
-    // balance (target + 1 < source on the planned loads). Without that
-    // guard a single straggler ping-pongs between replicas forever, each
-    // migration restarting it before it can finish.
-    double average = static_cast<double>(totals.lips) /
-                     static_cast<double>(totals.placeable);
-    double bound = options_.load_factor * average;
-    std::vector<size_t> planned = loads;  // SIZE_MAX marks unusable replicas.
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (loads[i] == SIZE_MAX || static_cast<double>(loads[i]) <= bound) {
-        continue;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (loads[i] == SIZE_MAX || static_cast<double>(loads[i]) <= bound) {
+      continue;
+    }
+    for (uint64_t uid : HostedLips(i)) {
+      // Same pick as failover: the closest of the least-planned replicas
+      // (a tie with the source itself means no move improves balance).
+      size_t target = ClosestLeastPlanned(planned, i);
+      if (target == i || planned[target] + 1 >= planned[i] ||
+          static_cast<double>(planned[i]) <= bound) {
+        break;
       }
-      for (auto& entry : records_) {
-        LipRecord& rec = entry.second;
-        if (rec.replica != i || rec.done || rec.in_flight ||
-            slots_[i].server->runtime().LipDone(rec.lip)) {
-          continue;
-        }
-        // Same pick as failover: the closest of the least-planned replicas
-        // (a tie with the source itself means no move improves balance).
-        size_t target = ClosestLeastPlanned(planned, i);
-        if (target == i || planned[target] + 1 >= planned[i] ||
-            static_cast<double>(planned[i]) <= bound) {
-          break;
-        }
-        moves.emplace_back(rec.uid, target);
-        --planned[i];
-        ++planned[target];
-      }
+      moves.emplace_back(uid, target);
+      --planned[i];
+      ++planned[target];
     }
   }
   size_t moved = 0;
@@ -1233,21 +1191,6 @@ size_t SymphonyCluster::SharePrefixes() {
     }
   }
   return warmed;
-}
-
-void SymphonyCluster::SchedulePrefixSharing(SimDuration period) {
-  sim_->ScheduleAfter(period, [this, period] {
-    (void)SharePrefixes();
-    // Keep the chain alive only while there is work (see ScheduleRebalance).
-    if (Totals(PlaceableLoads()).lips > 0) {
-      SchedulePrefixSharing(period);
-    }
-  });
-}
-
-void SymphonyCluster::StartPrefixSharing(SimDuration period) {
-  assert(period > 0);
-  SchedulePrefixSharing(period);
 }
 
 SymphonyCluster::ClusterLip SymphonyCluster::Locate(

@@ -84,7 +84,7 @@ struct ClusterOptions {
   size_t replicas = 2;
   RoutingPolicy routing = RoutingPolicy::kRoundRobin;
   // kAffinityBounded overflow threshold (x cluster-average load); also the
-  // per-replica overload bound used by Rebalance's default policy.
+  // per-replica overload bound used by Rebalance.
   double load_factor = 1.25;
   ServerOptions server;
   // Checkpoint/restore: journal every launched LIP so it survives
@@ -92,16 +92,6 @@ struct ClusterOptions {
   bool enable_recovery = false;
   // How a recovered LIP's KV cache is rebuilt (kAuto: cost-model choice).
   RecoveryMode recovery_mode = RecoveryMode::kAuto;
-  // Event-driven rebalancing: under kAffinityBounded, each routing decision
-  // that overflows away from its preferred replica is evidence of a hot key.
-  // When `overflow_threshold` overflows accumulate within `overflow_window`,
-  // a Rebalance pass runs immediately (at most once per `overflow_cooldown`)
-  // instead of waiting for the next fixed-period StartAutoRebalance tick.
-  // Requires enable_recovery; other routing policies never overflow.
-  bool rebalance_on_overflow = true;
-  uint32_t overflow_threshold = 4;
-  SimDuration overflow_window = Millis(50);
-  SimDuration overflow_cooldown = Millis(100);
   // ---- Snapshot store (src/store) --------------------------------------
   // Fold each LIP's journal into the store and truncate the folded prefix
   // every `checkpoint_interval` live entries. Requires enable_recovery.
@@ -111,7 +101,6 @@ struct ClusterOptions {
   // the full serialized journal. Replay start is delayed by the shipped
   // bytes' time on the topology's links either way.
   bool delta_migration = true;
-  uint64_t store_chunk_bytes = 4096;
   // Prefix sharing: a named file is publishable once it has been opened this
   // often and is at least this long (shorter prefixes lose to recompute
   // anyway — the Replayer cost model has the final say per file).
@@ -254,18 +243,9 @@ class SymphonyCluster : private ClusterControl {
   Status Migrate(const ClusterLip& id, size_t to_replica);
 
   // One rebalance pass: migrates LIPs off replicas whose live load exceeds
-  // load_factor x the live-replica average (or whatever the hook decides).
-  // Returns the number of LIPs moved.
+  // load_factor x the live-replica average, lowest uids first. Returns the
+  // number of LIPs moved.
   size_t Rebalance();
-
-  // Custom rebalance policy: given per-replica live-LIP counts (SIZE_MAX for
-  // dead replicas), return (uid, target_replica) migrations to perform.
-  using RebalanceHook =
-      std::function<std::vector<std::pair<uint64_t, size_t>>(
-          const std::vector<size_t>& live_lips)>;
-  void set_rebalance_hook(RebalanceHook hook) {
-    rebalance_hook_ = std::move(hook);
-  }
 
   // Runs Rebalance() every `period` while the cluster has live LIPs (the
   // chain stops when it drains, so Simulator::Run still terminates).
@@ -279,9 +259,6 @@ class SymphonyCluster : private ClusterControl {
   // every live replica that lacks the path. The import lands after the
   // fetched bytes' interconnect time. Returns files warmed this pass.
   size_t SharePrefixes();
-
-  // Runs SharePrefixes() every `period` while the cluster has live LIPs.
-  void StartPrefixSharing(SimDuration period);
 
   // The cluster-wide snapshot store (journal checkpoints + shared prefixes).
   SnapshotStore& store() { return *store_; }
@@ -310,8 +287,7 @@ class SymphonyCluster : private ClusterControl {
   struct ClusterCounters {
     uint64_t failovers = 0;    // LIPs replayed because their replica died.
     uint64_t migrations = 0;   // Migrate/Rebalance moves.
-    uint64_t overflow_events = 0;      // kAffinityBounded hot-key overflows.
-    uint64_t overflow_rebalances = 0;  // Rebalances those overflows triggered.
+    uint64_t overflow_events = 0;  // kAffinityBounded hot-key overflows.
     // Snapshot store consumers.
     uint64_t checkpoints = 0;               // Journal folds into the store.
     uint64_t checkpoint_entries_folded = 0; // Entries truncated by folds.
@@ -498,11 +474,6 @@ class SymphonyCluster : private ClusterControl {
   // snapshot store and migrate the LIP to the least-loaded decode-pool
   // replica, unless the cost model says the hop loses to local decode.
   void MaybeHandoff(uint64_t uid, uint64_t context_tokens);
-  // Records a kAffinityBounded overflow (RouteFor is const; the counters are
-  // routing observability, not routing state).
-  void NoteOverflow() const;
-  // Runs an immediate Rebalance if recent overflows crossed the threshold.
-  void MaybeShedOnOverflow();
   std::function<void(LipId)> MakeOnExit(uint64_t uid);
   // Ships `rec`'s journal to `target` (delta or full) and replays it there
   // after the shipped bytes' interconnect time; updates placement when the
@@ -518,7 +489,6 @@ class SymphonyCluster : private ClusterControl {
   void InstallCheckpointHook(const std::shared_ptr<SyscallJournal>& journal,
                              size_t replica);
   void ScheduleRebalance(SimDuration period);
-  void SchedulePrefixSharing(SimDuration period);
 
   Simulator* sim_;
   ClusterOptions options_;
@@ -537,11 +507,6 @@ class SymphonyCluster : private ClusterControl {
   // Mutable: RouteFor is const, and its counters (overflows, prefill routes)
   // are routing observability, not routing state.
   mutable ClusterCounters counters_;
-  // Overflow-driven rebalance state (mutable: see NoteOverflow).
-  mutable uint32_t overflow_in_window_ = 0;
-  mutable SimTime overflow_window_start_ = 0;
-  SimTime last_overflow_rebalance_ = -1;
-  RebalanceHook rebalance_hook_;
   // Snapshot-store consumer state.
   struct SharedPrefix {
     uint64_t key = 0;      // Store manifest (one reference held).

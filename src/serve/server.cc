@@ -10,15 +10,28 @@ namespace symphony {
 
 namespace {
 
+// SizeTimeout: launch at this many queued requests or after the timeout.
+constexpr size_t kBatchTargetSize = 16;
+constexpr SimDuration kBatchTimeout = Millis(5);
+// PoissonAdaptive: the longest a request waits for its target batch.
+constexpr SimDuration kBatchMaxWait = Millis(15);
+// Tool retry backoff cap, and the uniform jitter of up to this fraction of
+// the backoff added to each delay (de-synchronizes retry storms across LIPs).
+constexpr SimDuration kToolBackoffCap = Millis(500);
+constexpr double kToolBackoffJitter = 0.2;
+// EWMA smoothing for the per-LIP service-time estimate behind admission's
+// deadline-aware rejection.
+constexpr double kServiceEwmaAlpha = 0.2;
+
 std::unique_ptr<BatchPolicy> MakePolicy(const ServerOptions& options) {
   switch (options.batch_policy) {
     case BatchPolicyKind::kEager:
       return std::make_unique<EagerPolicy>();
     case BatchPolicyKind::kSizeTimeout:
-      return std::make_unique<SizeTimeoutPolicy>(options.batch_target_size,
-                                                 options.batch_timeout);
+      return std::make_unique<SizeTimeoutPolicy>(kBatchTargetSize,
+                                                 kBatchTimeout);
     case BatchPolicyKind::kPoissonAdaptive:
-      return std::make_unique<PoissonAdaptivePolicy>(options.batch_max_wait);
+      return std::make_unique<PoissonAdaptivePolicy>(kBatchMaxWait);
   }
   return std::make_unique<EagerPolicy>();
 }
@@ -159,15 +172,13 @@ class SymphonyServer::ServerToolService : public ToolService {
     }
     ++stats_.retries;
     SimDuration backoff = retry.backoff_base;
-    for (uint32_t i = 1; i < attempt && backoff < retry.backoff_cap; ++i) {
+    for (uint32_t i = 1; i < attempt && backoff < kToolBackoffCap; ++i) {
       backoff *= 2;
     }
-    backoff = std::min(backoff, retry.backoff_cap);
-    if (retry.backoff_jitter > 0.0) {
-      backoff += static_cast<SimDuration>(static_cast<double>(backoff) *
-                                          retry.backoff_jitter *
-                                          jitter_rng_.NextDouble());
-    }
+    backoff = std::min(backoff, kToolBackoffCap);
+    backoff += static_cast<SimDuration>(static_cast<double>(backoff) *
+                                        kToolBackoffJitter *
+                                        jitter_rng_.NextDouble());
     sim->ScheduleAfter(backoff, [this, lip, tool, args, ordinal, attempt,
                                  complete = std::move(complete)]() mutable {
       Attempt(lip, tool, args, ordinal, attempt + 1, std::move(complete));
@@ -307,11 +318,10 @@ LipId SymphonyServer::LaunchAdmitted(LaunchSpec spec, SimTime abs_deadline) {
                   user_exit = std::move(user_exit)](LipId lip) {
     if (tracked) {
       double service_s = ToSeconds(sim_->now() - start);
-      double alpha = options_.admission.service_ewma_alpha;
       service_ewma_s_ = service_ewma_s_ == 0.0
                             ? service_s
-                            : (1.0 - alpha) * service_ewma_s_ +
-                                  alpha * service_s;
+                            : (1.0 - kServiceEwmaAlpha) * service_ewma_s_ +
+                                  kServiceEwmaAlpha * service_s;
       --live_admitted_;
     }
     if (user_exit) {

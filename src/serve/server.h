@@ -48,12 +48,9 @@ struct ToolRetryOptions {
   // waiting out the tail. 0 disables.
   SimDuration call_timeout = 0;
   uint32_t max_attempts = 3;  // Total attempts; 1 = no retries.
-  // Backoff before attempt n+1: base * 2^(n-1), capped, plus a uniform
-  // jitter of up to `backoff_jitter` of the backoff (de-synchronizes
-  // retry storms across LIPs).
+  // Backoff before attempt n+1: base * 2^(n-1), capped at 500ms, plus a
+  // uniform jitter of up to 20% (see server.cc).
   SimDuration backoff_base = Millis(10);
-  SimDuration backoff_cap = Millis(500);
-  double backoff_jitter = 0.2;
 };
 
 // Admission control for LIP launches (paper §6: the server is a shared,
@@ -65,9 +62,8 @@ struct AdmissionOptions {
   uint32_t max_live_lips = 8;
   // Bounded wait queue across all priority classes; beyond it, shed.
   size_t max_queue = 64;
-  // EWMA smoothing for the per-LIP service-time estimate that drives
-  // deadline-aware rejection, and its optimistic prior.
-  double service_ewma_alpha = 0.2;
+  // Optimistic prior for the per-LIP service-time estimate that drives
+  // deadline-aware rejection (an EWMA of observed service times).
   SimDuration initial_service_estimate = Millis(500);
 };
 
@@ -94,11 +90,6 @@ struct ServerOptions {
   RuntimeOptions runtime;
   InferenceSchedulerOptions scheduler;
   BatchPolicyKind batch_policy = BatchPolicyKind::kEager;
-  // SizeTimeout parameters (when selected).
-  size_t batch_target_size = 16;
-  SimDuration batch_timeout = Millis(5);
-  // PoissonAdaptive parameter (when selected).
-  SimDuration batch_max_wait = Millis(20);
   // Optional execution trace (non-owning; must outlive the server). Records
   // GPU batch spans, LIP lifetime spans, and tool-call spans; dump with
   // TraceRecorder::WriteChromeJson for chrome://tracing / Perfetto.

@@ -19,7 +19,6 @@ inline constexpr SimDuration kMicrosecond = 1000 * kNanosecond;
 inline constexpr SimDuration kMillisecond = 1000 * kMicrosecond;
 inline constexpr SimDuration kSecond = 1000 * kMillisecond;
 
-constexpr SimDuration Nanos(int64_t n) { return n; }
 constexpr SimDuration Micros(int64_t n) { return n * kMicrosecond; }
 constexpr SimDuration Millis(int64_t n) { return n * kMillisecond; }
 constexpr SimDuration Seconds(int64_t n) { return n * kSecond; }

@@ -82,7 +82,6 @@ ControlPlaneOptions FastCtrl() {
   ControlPlaneOptions ctrl;
   ctrl.enabled = true;
   ctrl.heartbeat_period = Millis(2);
-  ctrl.heartbeat_jitter = 0.25;
   ctrl.suspect_after = Millis(4);
   ctrl.lease = Millis(7);
   ctrl.declare_dead_after = Millis(10);

@@ -713,5 +713,26 @@ TEST_F(KvfsTest, AppendIsAtomicOnMidSpanFailure) {
   EXPECT_EQ(fs.pool().stats().gpu_pages_used, 1u);
 }
 
+TEST_F(KvfsTest, TruncateIsAtomicWhenTailCopyFails) {
+  // 2-page budget, both pages shared with a fork: cutting the fork inside
+  // its first page needs a copy of that page, and the pool is full.
+  Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/2, /*host_pages=*/0));
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle h = *fs.Open("/kv/a", create);
+  ASSERT_TRUE(fs.Append(h, MakeRecords(20)).ok());
+  StatusOr<KvHandle> fork = fs.Fork(h, kAlice);
+  ASSERT_TRUE(fork.ok());
+  ASSERT_EQ(fs.pool().stats().gpu_pages_used, 2u);
+
+  EXPECT_EQ(fs.Truncate(*fork, 5).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(*fs.Length(*fork), 20u);
+  EXPECT_EQ(fs.Stat(*fork)->gpu_pages, 2u);
+  EXPECT_EQ(fs.pool().stats().gpu_pages_used, 2u);
+  for (uint64_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(fs.Read(*fork, i)->token, 300 + static_cast<TokenId>(i));
+  }
+  EXPECT_EQ(*fs.Length(h), 20u);
+}
+
 }  // namespace
 }  // namespace symphony

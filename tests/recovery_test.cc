@@ -26,9 +26,10 @@ namespace {
 // A multi-turn tool-calling agent: samples tokens (RNG-dependent), calls a
 // tool whose args depend on generated state, sleeps between turns, and emits
 // everything. Captures nothing by reference so the cluster's retained copy
-// can re-run it during replay.
-LipProgram MakeAgent(int turns) {
-  return [turns](LipContext& ctx) -> Task {
+// can re-run it during replay. With `stop_at_eos` false it runs every turn
+// to the end, so its syscall count does not depend on the seed.
+LipProgram MakeAgent(int turns, bool stop_at_eos = true) {
+  return [turns, stop_at_eos](LipContext& ctx) -> Task {
     KvHandle kv = *ctx.kv_tmp();
     std::vector<TokenId> prompt = ctx.tokenizer().Encode("w1 w2 w3");
     StatusOr<std::vector<Distribution>> dists = co_await ctx.pred(kv, prompt);
@@ -37,7 +38,7 @@ LipProgram MakeAgent(int turns) {
     }
     TokenId next = dists->back().Sample(ctx.uniform(), 0.8);
     for (int turn = 0; turn < turns; ++turn) {
-      for (int i = 0; i < 6 && next != kEosToken; ++i) {
+      for (int i = 0; i < 6 && !(stop_at_eos && next == kEosToken); ++i) {
         ctx.emit(ctx.tokenizer().TokenToString(next) + " ");
         StatusOr<std::vector<Distribution>> d = co_await ctx.pred1(kv, next);
         if (!d.ok()) {
@@ -51,7 +52,7 @@ LipProgram MakeAgent(int turns) {
         ctx.emit("[" + *out + "]");
       }
       co_await ctx.sleep(Millis(1));
-      if (next == kEosToken) {
+      if (stop_at_eos && next == kEosToken) {
         break;
       }
     }
@@ -88,11 +89,12 @@ struct RunResult {
 // Runs one agent to completion; optionally kills its replica at
 // `kill_frac x baseline_finish` virtual time.
 RunResult RunAgent(uint64_t seed, RecoveryMode mode,
-                   std::optional<double> kill_frac, SimTime baseline_finish) {
+                   std::optional<double> kill_frac, SimTime baseline_finish,
+                   LipProgram agent = MakeAgent(4)) {
   Simulator sim;
   SymphonyCluster cluster(&sim, RecoveryCluster(seed, mode));
   RegisterTools(cluster);
-  SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", MakeAgent(4));
+  SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", agent);
   if (kill_frac.has_value()) {
     SimTime kill_at =
         static_cast<SimTime>(*kill_frac * static_cast<double>(baseline_finish));
@@ -391,10 +393,13 @@ TEST(RecoveryTest, RebalanceShedsOverloadedReplica) {
   EXPECT_EQ(snap.migrations, moved);
   EXPECT_EQ(snap.replay_divergences, 0u);
   size_t elsewhere = 0;
-  for (const SymphonyCluster::ClusterLip& id : ids) {
-    EXPECT_TRUE(cluster.Done(id));
-    EXPECT_FALSE(cluster.Output(id).empty());
-    if (cluster.Locate(id).replica != loaded) {
+  for (size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_TRUE(cluster.Done(ids[k]));
+    EXPECT_FALSE(cluster.Output(ids[k]).empty());
+    bool away = cluster.Locate(ids[k]).replica != loaded;
+    // Victims are picked in uid order, and uids follow launch order.
+    EXPECT_EQ(away, k < moved) << "agent" << k;
+    if (away) {
       ++elsewhere;
     }
   }
@@ -511,11 +516,12 @@ struct CheckpointRun {
 // every 500us; optionally kills its replica mid-run.
 CheckpointRun RunCheckpointedAgent(uint64_t seed, bool delta,
                                    std::optional<double> kill_frac,
-                                   SimTime baseline_finish) {
+                                   SimTime baseline_finish,
+                                   LipProgram agent = MakeAgent(4)) {
   Simulator sim;
   SymphonyCluster cluster(&sim, CheckpointCluster(seed, delta));
   RegisterTools(cluster);
-  SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", MakeAgent(4));
+  SymphonyCluster::ClusterLip id = cluster.Launch("agent", "", agent);
   CheckpointRun run;
   bool killed = false;
   std::function<void()> probe = [&] {
@@ -559,15 +565,18 @@ class CheckpointPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 // The satellite property: with truncation on, the journal's resident entry
 // count stays bounded (<= 2x the checkpoint interval) for the whole run, and
 // replay after a random-time kill is still bit-identical — the truncated
-// prefix comes back from the store, not from luck.
+// prefix comes back from the store, not from luck. The agent ignores EOS so
+// every seed journals well past 2x the interval and checkpoints at least once.
 TEST_P(CheckpointPropertyTest, TruncationBoundsJournalAndKillStaysBitIdentical) {
   uint64_t seed = GetParam();
-  RunResult plain = RunAgent(seed, RecoveryMode::kAuto, std::nullopt, 0);
+  const LipProgram agent = MakeAgent(4, /*stop_at_eos=*/false);
+  RunResult plain =
+      RunAgent(seed, RecoveryMode::kAuto, std::nullopt, 0, agent);
   ASSERT_FALSE(plain.output.empty());
 
   // Checkpointing must not perturb execution: same output, journal bounded.
   CheckpointRun baseline =
-      RunCheckpointedAgent(seed, /*delta=*/true, std::nullopt, 0);
+      RunCheckpointedAgent(seed, /*delta=*/true, std::nullopt, 0, agent);
   EXPECT_EQ(baseline.output, plain.output);
   EXPECT_GT(baseline.snap.checkpoints, 0u);
   EXPECT_GT(baseline.snap.checkpoint_entries_folded, 0u);
@@ -579,7 +588,7 @@ TEST_P(CheckpointPropertyTest, TruncationBoundsJournalAndKillStaysBitIdentical) 
   Rng kill_rng(seed ^ 0xC0FFEEULL);
   double frac = 0.05 + 0.85 * kill_rng.NextDouble();
   CheckpointRun after_kill =
-      RunCheckpointedAgent(seed, /*delta=*/true, frac, plain.finish);
+      RunCheckpointedAgent(seed, /*delta=*/true, frac, plain.finish, agent);
   EXPECT_EQ(after_kill.output, plain.output) << "seed=" << seed
                                              << " kill_frac=" << frac;
   EXPECT_EQ(after_kill.snap.failovers, 1u);
