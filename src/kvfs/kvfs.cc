@@ -451,7 +451,16 @@ Status Kvfs::Truncate(KvHandle handle, uint64_t new_length) {
     return FailedPreconditionError("file locked by another lip");
   }
   file.last_access = Now();
-  return file.data->Truncate(new_length);
+  Status st = file.data->Truncate(new_length);
+  // A cut inside a shared page copies that page in its own tier; when the
+  // GPU tier is full, evict and retry as AppendAll does.
+  while (st.code() == StatusCode::kResourceExhausted &&
+         pool_.tier(file.data->pages()[(new_length - 1) / kPageTokens]) ==
+             Tier::kGpu &&
+         EvictOne()) {
+    st = file.data->Truncate(new_length);
+  }
+  return st;
 }
 
 Status Kvfs::Lock(KvHandle handle) {

@@ -734,5 +734,32 @@ TEST_F(KvfsTest, TruncateIsAtomicWhenTailCopyFails) {
   EXPECT_EQ(*fs.Length(h), 20u);
 }
 
+TEST_F(KvfsTest, TruncateEvictsToCopyTailPage) {
+  // /old (1 page, closed) and /a (2 pages) fill the 3-page GPU tier; the fork
+  // shares /a's pages. Cutting the fork inside its first page needs a copy,
+  // and evicting /old makes room for it.
+  Kvfs fs(Options(EvictionMode::kOffloadLru, /*gpu_pages=*/3, /*host_pages=*/16));
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle old = *fs.Open("/kv/old", create);
+  ASSERT_TRUE(fs.Append(old, MakeRecords(16, 500)).ok());
+  ASSERT_TRUE(fs.Close(old).ok());
+  KvHandle h = *fs.Open("/kv/a", create);
+  ASSERT_TRUE(fs.Append(h, MakeRecords(20)).ok());
+  KvHandle fork = *fs.Fork(h, kAlice);
+  ASSERT_EQ(fs.pool().gpu_pages_free(), 0u);
+
+  ASSERT_TRUE(fs.Truncate(fork, 5).ok());
+  EXPECT_EQ(*fs.Length(fork), 5u);
+  EXPECT_EQ(fs.Stat(fork)->gpu_pages, 1u);
+  EXPECT_EQ(fs.StatPath("/kv/old")->host_pages, 1u);
+  EXPECT_EQ(fs.stats().evicted_files, 1u);
+  EXPECT_EQ(fs.pool().stats().cow_copies, 1u);
+  for (uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(fs.Read(fork, i)->token, 300 + static_cast<TokenId>(i));
+  }
+  EXPECT_EQ(*fs.Length(h), 20u);
+  EXPECT_EQ(fs.Read(h, 19)->token, 319);
+}
+
 }  // namespace
 }  // namespace symphony
