@@ -2,7 +2,7 @@
 //
 // Measures the real (host CPU) cost of the KVFS data structures themselves:
 // append, fork, copy-on-write divergence, extract, merge, eviction scans,
-// and path lookups. These are the operations every pred syscall touches, so
+// restores of resident files, and path lookups. These are the operations every pred syscall touches, so
 // their constant factors bound the simulator's and — in a real port — the
 // serving system's control-plane overhead.
 #include <benchmark/benchmark.h>
@@ -150,6 +150,20 @@ void BM_EvictionDropLru(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EvictionDropLru);
+
+void BM_RestoreResident(benchmark::State& state) {
+  // Every pred restores its file first. For a file already on the GPU the
+  // pool's residency counts answer at once: flat in the file's length.
+  const size_t pages = static_cast<size_t>(state.range(0));
+  Kvfs fs(BigOptions());
+  KvHandle h = *fs.CreateAnonymous(kAdminLip);
+  (void)fs.Append(h, MakeRecords(pages * kPageTokens));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fs.RestoreToGpu(h));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RestoreResident)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_TailState(benchmark::State& state) {
   Kvfs fs(BigOptions());

@@ -5,31 +5,40 @@
 
 namespace symphony {
 
+KvFileData::~KvFileData() {
+  if (holder_ != kNoHolder) {
+    ReleaseAll();
+    pool_->FreeHolder(holder_);
+  }
+}
+
 KvFileData::KvFileData(KvFileData&& other) noexcept
     : pool_(other.pool_),
+      holder_(std::exchange(other.holder_, kNoHolder)),
       pages_(std::move(other.pages_)),
-      length_(other.length_),
+      length_(std::exchange(other.length_, 0)),
       page_ref_observer_(std::move(other.page_ref_observer_)) {
   other.pages_.clear();
-  other.length_ = 0;
 }
 
 KvFileData& KvFileData::operator=(KvFileData&& other) noexcept {
   if (this != &other) {
     ReleaseAll();
-    pool_ = other.pool_;
+    // Trade holder ids: ours now holds nothing, so `other` stays usable.
+    std::swap(pool_, other.pool_);
+    std::swap(holder_, other.holder_);
     pages_ = std::move(other.pages_);
-    length_ = other.length_;
+    length_ = std::exchange(other.length_, 0);
     page_ref_observer_ = std::move(other.page_ref_observer_);
     other.pages_.clear();
-    other.length_ = 0;
   }
   return *this;
 }
 
 Status KvFileData::MakeExclusive(size_t page_index) {
   assert(page_index < pages_.size());
-  SYMPHONY_ASSIGN_OR_RETURN(PageId exclusive, pool_->EnsureExclusive(pages_[page_index]));
+  SYMPHONY_ASSIGN_OR_RETURN(PageId exclusive,
+                            pool_->EnsureExclusive(pages_[page_index], holder_));
   pages_[page_index] = exclusive;
   return Status::Ok();
 }
@@ -38,7 +47,7 @@ Status KvFileData::Append(const TokenRecord& record, Tier tier) {
   uint32_t offset = static_cast<uint32_t>(length_ % kPageTokens);
   if (offset == 0) {
     // Need a fresh page.
-    SYMPHONY_ASSIGN_OR_RETURN(PageId page, pool_->Allocate(tier));
+    SYMPHONY_ASSIGN_OR_RETURN(PageId page, pool_->Allocate(tier, holder_));
     pages_.push_back(page);
     NotifyDelta(1);
   } else {
@@ -83,7 +92,7 @@ Status KvFileData::Truncate(uint64_t new_length) {
   }
   int64_t dropped = 0;
   while (pages_.size() > keep_pages) {
-    pool_->Unref(pages_.back());
+    pool_->Unref(pages_.back(), holder_);
     pages_.pop_back();
     --dropped;
   }
@@ -105,7 +114,7 @@ Status KvFileData::CloneFrom(const KvFileData& other) {
   pages_ = other.pages_;
   length_ = other.length_;
   for (PageId page : pages_) {
-    pool_->Ref(page);
+    pool_->Ref(page, holder_);
   }
   NotifyDelta(static_cast<int64_t>(pages_.size()));
   return Status::Ok();
@@ -114,20 +123,10 @@ Status KvFileData::CloneFrom(const KvFileData& other) {
 void KvFileData::ReleaseAll() {
   NotifyDelta(-static_cast<int64_t>(pages_.size()));
   for (PageId page : pages_) {
-    pool_->Unref(page);
+    pool_->Unref(page, holder_);
   }
   pages_.clear();
   length_ = 0;
-}
-
-uint64_t KvFileData::PagesInTier(Tier tier) const {
-  uint64_t n = 0;
-  for (PageId page : pages_) {
-    if (pool_->tier(page) == tier) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace symphony

@@ -22,12 +22,14 @@ namespace symphony {
 
 class KvFileData {
  public:
-  // `pool` must outlive the file.
-  explicit KvFileData(PagePool* pool) : pool_(pool) {}
+  // `pool` must outlive the file. The file is one holder of the pool.
+  explicit KvFileData(PagePool* pool) : pool_(pool), holder_(pool->NewHolder()) {}
 
-  ~KvFileData() { ReleaseAll(); }
+  ~KvFileData();
   KvFileData(const KvFileData&) = delete;
   KvFileData& operator=(const KvFileData&) = delete;
+  // The holder id moves with the pages, so residency survives a move (the
+  // file table growing). A moved-from file may only be destroyed or assigned.
   KvFileData(KvFileData&& other) noexcept;
   KvFileData& operator=(KvFileData&& other) noexcept;
 
@@ -54,8 +56,9 @@ class KvFileData {
   // Releases every page reference; the file becomes empty.
   void ReleaseAll();
 
-  // Number of this file's pages currently resident in each tier.
-  uint64_t PagesInTier(Tier tier) const;
+  // Number of this file's pages currently resident in `tier`. O(1): the pool
+  // keeps the count, including moves made through a copy-on-write sibling.
+  uint64_t PagesInTier(Tier tier) const { return pool_->HolderPages(holder_, tier); }
 
   // Observer of this file's page-reference count (for per-owner resource
   // accounting): called with +n / -n whenever pages_ grows or shrinks.
@@ -74,6 +77,7 @@ class KvFileData {
   Status MakeExclusive(size_t page_index);
 
   PagePool* pool_;
+  HolderId holder_;
   std::vector<PageId> pages_;
   uint64_t length_ = 0;
   std::function<void(int64_t)> page_ref_observer_;

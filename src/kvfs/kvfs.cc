@@ -507,11 +507,11 @@ Status Kvfs::SetMode(KvHandle handle, uint8_t mode) {
 }
 
 Status Kvfs::MovePages(FileEntry& file, Tier to) {
+  if (file.data->PagesInTier(to == Tier::kGpu ? Tier::kHost : Tier::kGpu) == 0) {
+    return Status::Ok();
+  }
   if (to == Tier::kGpu) {
-    SYMPHONY_ASSIGN_OR_RETURN(uint64_t missing, ReserveGpuPages(file));
-    if (missing == 0) {
-      return Status::Ok();
-    }
+    SYMPHONY_RETURN_IF_ERROR(ReserveGpuPages(file));
   }
   for (PageId page : file.data->pages()) {
     if (pool_.tier(page) == to) {
@@ -537,15 +537,13 @@ Status Kvfs::RestoreToGpu(KvHandle handle) {
   return Status::Ok();
 }
 
-StatusOr<uint64_t> Kvfs::ReserveGpuPages(const FileEntry& file) {
-  uint64_t missing = file.data->PagesInTier(Tier::kHost);
-  while (pool_.gpu_pages_free() < missing) {
+Status Kvfs::ReserveGpuPages(const FileEntry& file) {
+  while (pool_.gpu_pages_free() < file.data->PagesInTier(Tier::kHost)) {
     if (!EvictOne()) {
       return ResourceExhaustedError("cannot reserve gpu pages");
     }
-    missing = file.data->PagesInTier(Tier::kHost);
   }
-  return missing;
+  return Status::Ok();
 }
 
 void Kvfs::OffloadOwnedBy(LipId owner) {

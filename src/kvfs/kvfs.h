@@ -263,15 +263,15 @@ class Kvfs {
   Status AppendAll(FileEntry& file, std::span<const TokenRecord> records,
                    Tier tier);
   // Moves every page of `file` not already in `to` there, charging one
-  // page of PCIe traffic per move. A move to the GPU reserves room for all
-  // pages first, so it either moves every page or none; a move to the host
-  // stops at the first failure.
+  // page of PCIe traffic per move; O(1) when there is none. A move to the
+  // GPU reserves room for all pages first, so it either moves every page or
+  // none; a move to the host stops at the first failure.
   Status MovePages(FileEntry& file, Tier to);
   // Evicts eligible files until the GPU tier has room for every host page of
-  // `file`, and returns how many there are. The count is re-read after each
-  // eviction: offloading a copy-on-write sibling also moves the pages it
-  // shares with `file` to the host.
-  StatusOr<uint64_t> ReserveGpuPages(const FileEntry& file);
+  // `file`. The count is re-read after each eviction: offloading a
+  // copy-on-write sibling also moves the pages it shares with `file` to the
+  // host.
+  Status ReserveGpuPages(const FileEntry& file);
   // Evicts the least-recently-used eligible file; false if there is none.
   bool EvictOne();
   // True when `owner` is at/over its page quota (admin is exempt).

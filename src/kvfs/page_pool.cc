@@ -1,5 +1,6 @@
 #include "src/kvfs/page_pool.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace symphony {
@@ -25,7 +26,44 @@ uint64_t& PagePool::TierUsage(Tier tier) {
   return tier == Tier::kGpu ? stats_.gpu_pages_used : stats_.host_pages_used;
 }
 
-StatusOr<PageId> PagePool::Allocate(Tier tier) {
+void PagePool::AddHolder(PageMeta& meta, HolderId holder) {
+  if (holder == kNoHolder) {
+    return;
+  }
+  assert(holder < holder_pages_.size());
+  meta.holders.push_back(holder);
+  ++holder_pages_[holder][static_cast<size_t>(meta.tier)];
+}
+
+void PagePool::RemoveHolder(PageMeta& meta, HolderId holder) {
+  if (holder == kNoHolder) {
+    return;
+  }
+  auto it = std::find(meta.holders.begin(), meta.holders.end(), holder);
+  assert(it != meta.holders.end());
+  *it = meta.holders.back();
+  meta.holders.pop_back();
+  --holder_pages_[holder][static_cast<size_t>(meta.tier)];
+}
+
+HolderId PagePool::NewHolder() {
+  if (!free_holders_.empty()) {
+    HolderId holder = free_holders_.back();
+    free_holders_.pop_back();
+    return holder;
+  }
+  holder_pages_.emplace_back();
+  return static_cast<HolderId>(holder_pages_.size() - 1);
+}
+
+void PagePool::FreeHolder(HolderId holder) {
+  assert(holder < holder_pages_.size());
+  assert(HolderPages(holder, Tier::kGpu) == 0);
+  assert(HolderPages(holder, Tier::kHost) == 0);
+  free_holders_.push_back(holder);
+}
+
+StatusOr<PageId> PagePool::Allocate(Tier tier, HolderId holder) {
   uint64_t budget = tier == Tier::kGpu ? gpu_budget_ : host_budget_;
   if (TierUsage(tier) >= budget) {
     return ResourceExhaustedError(tier == Tier::kGpu ? "gpu page budget exhausted"
@@ -40,21 +78,30 @@ StatusOr<PageId> PagePool::Allocate(Tier tier) {
     pages_.emplace_back();
   }
   PageMeta& meta = pages_[id];
-  meta = PageMeta{};
+  assert(meta.holders.empty());
+  meta.records = {};
+  meta.used = 0;
   meta.refcount = 1;
   meta.tier = tier;
   meta.live = true;
+  AddHolder(meta, holder);
   ++TierUsage(tier);
   ++stats_.allocations;
   return id;
 }
 
-void PagePool::Ref(PageId id) { ++Meta(id).refcount; }
+void PagePool::Ref(PageId id, HolderId holder) {
+  PageMeta& meta = Meta(id);
+  ++meta.refcount;
+  AddHolder(meta, holder);
+}
 
-void PagePool::Unref(PageId id) {
+void PagePool::Unref(PageId id, HolderId holder) {
   PageMeta& meta = Meta(id);
   assert(meta.refcount > 0);
+  RemoveHolder(meta, holder);
   if (--meta.refcount == 0) {
+    assert(meta.holders.empty());
     --TierUsage(meta.tier);
     meta.live = false;
     free_list_.push_back(id);
@@ -62,17 +109,17 @@ void PagePool::Unref(PageId id) {
   }
 }
 
-StatusOr<PageId> PagePool::EnsureExclusive(PageId id) {
-  PageMeta& meta = Meta(id);
-  if (meta.refcount == 1) {
+StatusOr<PageId> PagePool::EnsureExclusive(PageId id, HolderId holder) {
+  if (Meta(id).refcount == 1) {
     return id;
   }
-  SYMPHONY_ASSIGN_OR_RETURN(PageId copy, Allocate(meta.tier));
+  SYMPHONY_ASSIGN_OR_RETURN(PageId copy, Allocate(Meta(id).tier, holder));
+  // Fetched after Allocate, which may have reallocated pages_.
   PageMeta& copy_meta = pages_[copy];
-  // Re-fetch: Allocate may have reallocated pages_.
   PageMeta& src_meta = pages_[id];
   copy_meta.records = src_meta.records;
   copy_meta.used = src_meta.used;
+  RemoveHolder(src_meta, holder);
   --src_meta.refcount;
   ++stats_.cow_copies;
   return copy;
@@ -86,6 +133,11 @@ Status PagePool::MoveToTier(PageId id, Tier tier) {
   uint64_t budget = tier == Tier::kGpu ? gpu_budget_ : host_budget_;
   if (TierUsage(tier) >= budget) {
     return ResourceExhaustedError("target tier full");
+  }
+  for (HolderId holder : meta.holders) {
+    std::array<uint64_t, 2>& pages = holder_pages_[holder];
+    --pages[static_cast<size_t>(meta.tier)];
+    ++pages[static_cast<size_t>(tier)];
   }
   --TierUsage(meta.tier);
   meta.tier = tier;

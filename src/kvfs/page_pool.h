@@ -5,19 +5,31 @@
 // so kv_fork can share pages copy-on-write; a write to a shared page goes
 // through EnsureExclusive(), which transparently copies it.
 //
-// The pool is mechanism only. Which page to evict, and whether eviction means
-// offload-to-host or drop, is policy owned by Kvfs/eviction.
+// Like an OS frame table, the pool also knows who holds each page. A holder
+// (one KvFileData) gets its id from NewHolder(); every reference taken on a
+// holder's behalf is recorded in the page's holder list, and the pool keeps
+// per-holder GPU/host page counts. MoveToTier() updates the counts of every
+// holder of the page, so a file's residency stays exact when a copy-on-write
+// sibling moves a shared page, and HolderPages() is O(1). References taken
+// without a holder (kNoHolder) count toward the refcount only.
+//
+// The pool is mechanism only. Which file to evict, and whether eviction means
+// offload-to-host or drop, is policy owned by Kvfs.
 #ifndef SRC_KVFS_PAGE_POOL_H_
 #define SRC_KVFS_PAGE_POOL_H_
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/kvfs/types.h"
 
 namespace symphony {
+
+using HolderId = uint32_t;
+inline constexpr HolderId kNoHolder = std::numeric_limits<HolderId>::max();
 
 struct PagePoolStats {
   uint64_t gpu_pages_used = 0;
@@ -36,21 +48,36 @@ class PagePool {
   PagePool(const PagePool&) = delete;
   PagePool& operator=(const PagePool&) = delete;
 
-  // Allocates an empty page in `tier` with refcount 1.
-  StatusOr<PageId> Allocate(Tier tier);
+  // Returns a fresh holder id with no pages.
+  HolderId NewHolder();
 
-  // Increments the sharing count (kv_fork).
-  void Ref(PageId id);
+  // Retires a holder, which must no longer hold any page.
+  void FreeHolder(HolderId holder);
 
-  // Decrements; frees the page when the count reaches zero.
-  void Unref(PageId id);
+  // Pages `holder` references in `tier`. O(1).
+  uint64_t HolderPages(HolderId holder, Tier tier) const {
+    return holder_pages_[holder][static_cast<size_t>(tier)];
+  }
+
+  // Holder ids currently issued and not yet freed.
+  uint64_t live_holders() const { return holder_pages_.size() - free_holders_.size(); }
+
+  // Allocates an empty page in `tier` with refcount 1, held by `holder`.
+  StatusOr<PageId> Allocate(Tier tier, HolderId holder = kNoHolder);
+
+  // Increments the sharing count (kv_fork) on behalf of `holder`.
+  void Ref(PageId id, HolderId holder = kNoHolder);
+
+  // Drops `holder`'s reference; frees the page when the count reaches zero.
+  void Unref(PageId id, HolderId holder = kNoHolder);
 
   // Returns `id` if exclusively owned, otherwise allocates a copy in the same
-  // tier, moves one reference to it, and returns the copy.
-  StatusOr<PageId> EnsureExclusive(PageId id);
+  // tier, moves `holder`'s reference to it, and returns the copy.
+  StatusOr<PageId> EnsureExclusive(PageId id, HolderId holder = kNoHolder);
 
   // Moves a page between tiers (accounting only; the caller charges transfer
-  // time). Fails with kResourceExhausted if the target tier is full.
+  // time) and updates the counts of every holder of the page. Fails with
+  // kResourceExhausted if the target tier is full.
   Status MoveToTier(PageId id, Tier tier);
 
   // Record access (mutable interface used by files).
@@ -72,16 +99,23 @@ class PagePool {
     uint32_t refcount = 0;
     Tier tier = Tier::kGpu;
     bool live = false;
+    // One entry per reference taken with a holder (kept across page reuse
+    // to keep its capacity).
+    std::vector<HolderId> holders;
   };
 
   PageMeta& Meta(PageId id);
   const PageMeta& Meta(PageId id) const;
   uint64_t& TierUsage(Tier tier);
+  void AddHolder(PageMeta& meta, HolderId holder);
+  void RemoveHolder(PageMeta& meta, HolderId holder);
 
   uint64_t gpu_budget_;
   uint64_t host_budget_;
   std::vector<PageMeta> pages_;
   std::vector<PageId> free_list_;
+  std::vector<std::array<uint64_t, 2>> holder_pages_;  // [holder][tier]
+  std::vector<HolderId> free_holders_;
   PagePoolStats stats_;
 };
 

@@ -1,6 +1,8 @@
 // Property-based tests (parameterized sweeps) on the core invariants:
 //   * PagePool vs a reference model under random op sequences,
 //   * KvFileData vs a reference vector under random append/truncate/clone,
+//   * KvFileData residency counts vs a page scan under random appends in
+//     both tiers, clones, truncates, moves and shared-page tier moves,
 //   * Kvfs vs per-file reference vectors under random namespace, fork,
 //     extract/merge and offload/restore steps on tiny tier budgets,
 //   * model state: shared prefix <=> shared state,
@@ -244,6 +246,96 @@ TEST_P(KvFilePropertyTest, MatchesVectorReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvFilePropertyTest,
                          ::testing::ValuesIn(PropertySeeds({5, 6, 7, 8, 4242}, 2)));
+
+// ---------------------------------------------------------------------------
+// KvFileData residency: the pool's per-holder tier counts vs a page scan.
+// ---------------------------------------------------------------------------
+
+class ResidencyPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ResidencyPropertyTest, CountsMatchPageScan) {
+  Rng rng(GetParam());
+  // Small budgets, so appends, copy-on-write truncates and tier moves also
+  // take their failure paths.
+  PagePool pool(/*gpu_page_budget=*/12, /*host_page_budget=*/12);
+  auto tier_of = [](uint64_t bit) { return bit == 0 ? Tier::kGpu : Tier::kHost; };
+  {
+    // Held by value and never reserved: growing the vector moves every file.
+    std::vector<KvFileData> files;
+    files.emplace_back(&pool);
+    int32_t next_pos = 0;
+    for (int step = 0; step < 600; ++step) {
+      size_t idx = rng.NextBounded(files.size());
+      switch (rng.NextBounded(6)) {
+        case 0: {  // Append 1..20 records into one tier (may fail midway).
+          Tier tier = tier_of(rng.NextBounded(2));
+          uint64_t n = 1 + rng.NextBounded(20);
+          for (uint64_t i = 0; i < n; ++i) {
+            TokenRecord rec{260, next_pos++, rng.NextU64()};
+            if (!files[idx].Append(rec, tier).ok()) {
+              break;
+            }
+          }
+          break;
+        }
+        case 1: {  // Clone into a new file, growing the vector.
+          if (files.size() < 8) {
+            files.emplace_back(&pool);
+            ASSERT_TRUE(files.back().CloneFrom(files[idx]).ok());
+          }
+          break;
+        }
+        case 2: {  // Truncate: a cut inside a shared page copies it.
+          KvFileData& file = files[idx];
+          (void)file.Truncate(rng.NextBounded(file.length() + 1));
+          break;
+        }
+        case 3: {  // Move one page, shared or not, to the other tier.
+          const std::vector<PageId>& pages = files[idx].pages();
+          if (!pages.empty()) {
+            PageId page = pages[rng.NextBounded(pages.size())];
+            Tier to = pool.tier(page) == Tier::kGpu ? Tier::kHost : Tier::kGpu;
+            (void)pool.MoveToTier(page, to);
+          }
+          break;
+        }
+        case 4: {  // Move-construct out and back in; or release everything.
+          if (rng.NextBounded(2) == 0) {
+            KvFileData moved(std::move(files[idx]));
+            files[idx] = std::move(moved);
+          } else {
+            files[idx].ReleaseAll();
+          }
+          break;
+        }
+        case 5: {  // Drop a file by move-assigning the last one over it.
+          if (files.size() > 1) {
+            files[idx] = std::move(files.back());
+            files.pop_back();
+          }
+          break;
+        }
+      }
+      for (size_t f = 0; f < files.size(); ++f) {
+        for (Tier tier : {Tier::kGpu, Tier::kHost}) {
+          uint64_t scanned = 0;
+          for (PageId page : files[f].pages()) {
+            scanned += pool.tier(page) == tier ? 1 : 0;
+          }
+          ASSERT_EQ(files[f].PagesInTier(tier), scanned)
+              << "step " << step << " file " << f << " tier "
+              << static_cast<int>(tier);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pool.live_holders(), 0u);
+  EXPECT_EQ(pool.stats().gpu_pages_used, 0u);
+  EXPECT_EQ(pool.stats().host_pages_used, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResidencyPropertyTest,
+                         ::testing::ValuesIn(PropertySeeds({31, 32, 33, 34, 35}, 9)));
 
 // ---------------------------------------------------------------------------
 // Kvfs: random namespace, data-plane and residency steps on tiny tier budgets
