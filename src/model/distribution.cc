@@ -21,9 +21,21 @@ Distribution::Distribution(uint64_t state, const ModelConfig* config)
   assert(config != nullptr);
 }
 
+Distribution::Distribution(const Distribution& other)
+    : state_(other.state_),
+      config_(other.config_),
+      table_(other.table_ ? std::make_unique<Table>(*other.table_) : nullptr) {}
+
+Distribution& Distribution::operator=(const Distribution& other) {
+  if (this != &other) {
+    *this = Distribution(other);
+  }
+  return *this;
+}
+
 const Distribution::Table& Distribution::entries() const {
   if (!table_) {
-    table_ = Build();
+    table_ = std::make_unique<Table>(Build());
   }
   return *table_;
 }

@@ -11,11 +11,12 @@
 // and Argmax() exact and O(K) while Dense() stays available (O(vocab)) for
 // tests and constrained decoding over small vocabularies.
 //
-// The candidate table is materialized on the first query and memoized in the
-// object, so constructing a distribution nobody reads (a prefill token's) is
-// O(1): a pred returns one per input token but callers mostly read the last.
-// Copies share nothing; each builds or carries its own table. Not
-// thread-safe, like the rest of the single-threaded simulator.
+// The candidate table is materialized on the first query and memoized out of
+// line, behind a pointer, so constructing a distribution nobody reads (a
+// prefill token's) is O(1) and the object is 24 bytes: a pred returns one per
+// input token but callers mostly read the last. Copies share nothing; a copy
+// deep-copies a built table. Not thread-safe, like the rest of the
+// single-threaded simulator.
 //
 // The same state always yields the same distribution — the property that
 // makes KV-cache reuse verifiable end to end.
@@ -25,7 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "src/model/model_config.h"
@@ -41,6 +42,11 @@ class Distribution {
 
   // `config` must outlive the distribution. O(1): stores only its inputs.
   Distribution(uint64_t state, const ModelConfig* config);
+
+  Distribution(const Distribution& other);
+  Distribution& operator=(const Distribution& other);
+  Distribution(Distribution&&) noexcept = default;
+  Distribution& operator=(Distribution&&) noexcept = default;
 
   uint64_t state() const { return state_; }
 
@@ -89,7 +95,7 @@ class Distribution {
 
   uint64_t state_;
   const ModelConfig* config_;
-  mutable std::optional<Table> table_;  // Sorted by descending score.
+  mutable std::unique_ptr<Table> table_;  // Sorted by descending score.
 };
 
 }  // namespace symphony

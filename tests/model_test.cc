@@ -311,6 +311,22 @@ TEST(LazyDistributionTest, QueriesAgreeOnFreshAndCopiedObjects) {
   }
 }
 
+TEST(LazyDistributionTest, TableLivesOutOfLineAndCopiesByValue) {
+  // A 3000-token prefill returns 3000 distributions: the candidate table
+  // must not sit inline.
+  EXPECT_LE(sizeof(Distribution), 32u);
+  Model model(ModelConfig::Llama13B());
+  Distribution built = model.Predict(7);
+  std::vector<TokenId> expected = built.TopCandidates();
+  Distribution assigned = model.Predict(8);
+  (void)assigned.Argmax();
+  assigned = built;  // Replaces a built table with a copy of another.
+  Distribution moved = std::move(built);
+  EXPECT_EQ(assigned.state(), 7u);
+  EXPECT_EQ(assigned.TopCandidates(), expected);
+  EXPECT_EQ(moved.TopCandidates(), expected);
+}
+
 TEST(LazyDistributionTest, CandidateTablesMatchGolden) {
   // Fixed candidate tables: any change to candidate drawing, EOS promotion,
   // jitter or ordering breaks them.
