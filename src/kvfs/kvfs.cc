@@ -62,12 +62,11 @@ uint64_t Kvfs::OwnerPageRefs(LipId owner) const {
   return static_cast<uint64_t>(it->second);
 }
 
-bool Kvfs::OverPageQuota(LipId owner) const {
+uint64_t Kvfs::PageQuota(LipId owner) const {
   if (!page_quota_ || owner == kAdminLip) {
-    return false;
+    return UINT64_MAX;
   }
-  uint64_t quota = page_quota_(owner);
-  return OwnerPageRefs(owner) > quota;
+  return page_quota_(owner);
 }
 
 void Kvfs::ReclaimIfOrphaned(FileId id) {
@@ -282,7 +281,8 @@ StatusOr<KvHandle> Kvfs::Fork(KvHandle source, LipId requester) {
   files_[src.file].last_access = Now();
   SYMPHONY_ASSIGN_OR_RETURN(KvHandle fork, NewFile(owner, [&](FileEntry& file) {
     SYMPHONY_RETURN_IF_ERROR(file.data->CloneFrom(*files_[src.file].data));
-    return OverPageQuota(owner) ? QuotaError(owner) : Status::Ok();
+    return OwnerPageRefs(owner) > PageQuota(owner) ? QuotaError(owner)
+                                                   : Status::Ok();
   }));
   ++stats_.forks;
   return fork;
@@ -347,14 +347,20 @@ StatusOr<KvHandle> Kvfs::Merge(std::span<const KvHandle> sources, LipId requeste
 Status Kvfs::AppendAll(FileEntry& file, std::span<const TokenRecord> records,
                        Tier tier) {
   uint64_t original_length = file.data->length();
+  uint64_t quota = PageQuota(file.owner);
+  size_t checked_pages = SIZE_MAX;  // Forces a check after the first record.
   for (const TokenRecord& record : records) {
     Status st = file.data->Append(record, tier);
     while (st.code() == StatusCode::kResourceExhausted && tier == Tier::kGpu &&
            EvictOne()) {
       st = file.data->Append(record, tier);
     }
-    if (st.ok() && OverPageQuota(file.owner)) {
-      st = QuotaError(file.owner);  // A hard per-tenant cap (§6).
+    // The owner's page refs change only when a record starts a page.
+    if (st.ok() && file.data->pages().size() != checked_pages) {
+      checked_pages = file.data->pages().size();
+      if (OwnerPageRefs(file.owner) > quota) {
+        st = QuotaError(file.owner);  // A hard per-tenant cap (§6).
+      }
     }
     if (!st.ok()) {
       (void)file.data->Truncate(original_length);  // Roll back the span.

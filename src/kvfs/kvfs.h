@@ -258,8 +258,9 @@ class Kvfs {
   Status AppendRecords(KvHandle handle, std::span<const TokenRecord> records,
                        Tier tier);
   // Appends `records` with new pages in `tier`, all or nothing. A full GPU
-  // tier evicts other files and retries; the owner's page quota is checked
-  // after every record.
+  // tier evicts other files and retries; the owner's page quota is read once
+  // and checked after the first record and after every record that adds a
+  // page.
   Status AppendAll(FileEntry& file, std::span<const TokenRecord> records,
                    Tier tier);
   // Moves every page of `file` not already in `to` there, charging one
@@ -274,8 +275,8 @@ class Kvfs {
   Status ReserveGpuPages(const FileEntry& file);
   // Evicts the least-recently-used eligible file; false if there is none.
   bool EvictOne();
-  // True when `owner` is at/over its page quota (admin is exempt).
-  bool OverPageQuota(LipId owner) const;
+  // The owner's page-reference cap; UINT64_MAX without a hook or for admin.
+  uint64_t PageQuota(LipId owner) const;
   KvFileInfo InfoFor(FileId id) const;
 
   KvfsOptions options_;

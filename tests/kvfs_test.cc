@@ -701,6 +701,20 @@ TEST_F(KvfsTest, PageQuotaHookEnforced) {
   EXPECT_TRUE(fs.Append(hb, MakeRecords(48)).ok());
 }
 
+TEST_F(KvfsTest, PageQuotaCheckedEvenWhenNoPageIsAdded) {
+  // An owner already over a lowered quota cannot append, even into the free
+  // slots of its tail page.
+  Kvfs fs(Options());
+  uint64_t quota = UINT64_MAX;
+  fs.set_page_quota_hook([&quota](LipId) { return quota; });
+  OpenOptions create{.requester = kAlice, .write = true, .create = true};
+  KvHandle h = *fs.Open("/kv/capped", create);
+  ASSERT_TRUE(fs.Append(h, MakeRecords(20)).ok());  // 2 pages.
+  quota = 1;
+  EXPECT_EQ(fs.Append(h, MakeRecords(1, 500)).code(), StatusCode::kQuotaExceeded);
+  EXPECT_EQ(*fs.Length(h), 20u);
+}
+
 TEST_F(KvfsTest, AppendIsAtomicOnMidSpanFailure) {
   // 3-page budget; a 4-page span must fail and leave the file unchanged.
   Kvfs fs(Options(EvictionMode::kNone, /*gpu_pages=*/3, /*host_pages=*/0));
