@@ -27,18 +27,12 @@ uint64_t& PagePool::TierUsage(Tier tier) {
 }
 
 void PagePool::AddHolder(PageMeta& meta, HolderId holder) {
-  if (holder == kNoHolder) {
-    return;
-  }
   assert(holder < holder_pages_.size());
   meta.holders.push_back(holder);
   ++holder_pages_[holder][static_cast<size_t>(meta.tier)];
 }
 
 void PagePool::RemoveHolder(PageMeta& meta, HolderId holder) {
-  if (holder == kNoHolder) {
-    return;
-  }
   auto it = std::find(meta.holders.begin(), meta.holders.end(), holder);
   assert(it != meta.holders.end());
   *it = meta.holders.back();

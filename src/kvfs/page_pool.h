@@ -6,12 +6,11 @@
 // through EnsureExclusive(), which transparently copies it.
 //
 // Like an OS frame table, the pool also knows who holds each page. A holder
-// (one KvFileData) gets its id from NewHolder(); every reference taken on a
-// holder's behalf is recorded in the page's holder list, and the pool keeps
-// per-holder GPU/host page counts. MoveToTier() updates the counts of every
+// (one KvFileData) gets its id from NewHolder(); every page reference names
+// its holder, each page lists its holders, and the pool keeps per-holder
+// GPU/host page counts. MoveToTier() updates the counts of every
 // holder of the page, so a file's residency stays exact when a copy-on-write
-// sibling moves a shared page, and HolderPages() is O(1). References taken
-// without a holder (kNoHolder) count toward the refcount only.
+// sibling moves a shared page, and HolderPages() is O(1).
 //
 // The pool is mechanism only. Which file to evict, and whether eviction means
 // offload-to-host or drop, is policy owned by Kvfs.
@@ -29,6 +28,7 @@
 namespace symphony {
 
 using HolderId = uint32_t;
+// No holder: what a moved-from KvFileData is left with.
 inline constexpr HolderId kNoHolder = std::numeric_limits<HolderId>::max();
 
 struct PagePoolStats {
@@ -63,17 +63,17 @@ class PagePool {
   uint64_t live_holders() const { return holder_pages_.size() - free_holders_.size(); }
 
   // Allocates an empty page in `tier` with refcount 1, held by `holder`.
-  StatusOr<PageId> Allocate(Tier tier, HolderId holder = kNoHolder);
+  StatusOr<PageId> Allocate(Tier tier, HolderId holder);
 
   // Increments the sharing count (kv_fork) on behalf of `holder`.
-  void Ref(PageId id, HolderId holder = kNoHolder);
+  void Ref(PageId id, HolderId holder);
 
   // Drops `holder`'s reference; frees the page when the count reaches zero.
-  void Unref(PageId id, HolderId holder = kNoHolder);
+  void Unref(PageId id, HolderId holder);
 
   // Returns `id` if exclusively owned, otherwise allocates a copy in the same
   // tier, moves `holder`'s reference to it, and returns the copy.
-  StatusOr<PageId> EnsureExclusive(PageId id, HolderId holder = kNoHolder);
+  StatusOr<PageId> EnsureExclusive(PageId id, HolderId holder);
 
   // Moves a page between tiers (accounting only; the caller charges transfer
   // time) and updates the counts of every holder of the page. Fails with
@@ -99,8 +99,7 @@ class PagePool {
     uint32_t refcount = 0;
     Tier tier = Tier::kGpu;
     bool live = false;
-    // One entry per reference taken with a holder (kept across page reuse
-    // to keep its capacity).
+    // The holder of each reference; cleared, not freed, when the page is.
     std::vector<HolderId> holders;
   };
 

@@ -21,38 +21,42 @@ TokenRecord Rec(TokenId t, int32_t pos) {
 
 TEST(PagePoolTest, AllocateAndFree) {
   PagePool pool(4, 4);
-  StatusOr<PageId> p = pool.Allocate(Tier::kGpu);
+  HolderId h = pool.NewHolder();
+  StatusOr<PageId> p = pool.Allocate(Tier::kGpu, h);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(pool.stats().gpu_pages_used, 1u);
-  pool.Unref(*p);
+  pool.Unref(*p, h);
   EXPECT_EQ(pool.stats().gpu_pages_used, 0u);
 }
 
 TEST(PagePoolTest, BudgetEnforced) {
   PagePool pool(2, 1);
-  ASSERT_TRUE(pool.Allocate(Tier::kGpu).ok());
-  ASSERT_TRUE(pool.Allocate(Tier::kGpu).ok());
-  StatusOr<PageId> third = pool.Allocate(Tier::kGpu);
+  HolderId h = pool.NewHolder();
+  ASSERT_TRUE(pool.Allocate(Tier::kGpu, h).ok());
+  ASSERT_TRUE(pool.Allocate(Tier::kGpu, h).ok());
+  StatusOr<PageId> third = pool.Allocate(Tier::kGpu, h);
   EXPECT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(pool.Allocate(Tier::kHost).ok());
+  EXPECT_TRUE(pool.Allocate(Tier::kHost, h).ok());
 }
 
 TEST(PagePoolTest, RefcountKeepsPageAlive) {
   PagePool pool(4, 0);
-  PageId p = *pool.Allocate(Tier::kGpu);
-  pool.Ref(p);
-  pool.Unref(p);
+  HolderId h = pool.NewHolder();
+  PageId p = *pool.Allocate(Tier::kGpu, h);
+  pool.Ref(p, h);
+  pool.Unref(p, h);
   EXPECT_EQ(pool.refcount(p), 1u);
   EXPECT_EQ(pool.stats().gpu_pages_used, 1u);
-  pool.Unref(p);
+  pool.Unref(p, h);
   EXPECT_EQ(pool.stats().gpu_pages_used, 0u);
 }
 
 TEST(PagePoolTest, EnsureExclusiveNoCopyWhenUnshared) {
   PagePool pool(4, 0);
-  PageId p = *pool.Allocate(Tier::kGpu);
-  StatusOr<PageId> q = pool.EnsureExclusive(p);
+  HolderId h = pool.NewHolder();
+  PageId p = *pool.Allocate(Tier::kGpu, h);
+  StatusOr<PageId> q = pool.EnsureExclusive(p, h);
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(*q, p);
   EXPECT_EQ(pool.stats().cow_copies, 0u);
@@ -60,11 +64,13 @@ TEST(PagePoolTest, EnsureExclusiveNoCopyWhenUnshared) {
 
 TEST(PagePoolTest, EnsureExclusiveCopiesWhenShared) {
   PagePool pool(4, 0);
-  PageId p = *pool.Allocate(Tier::kGpu);
+  HolderId a = pool.NewHolder();
+  HolderId b = pool.NewHolder();
+  PageId p = *pool.Allocate(Tier::kGpu, a);
   pool.MutableRecords(p)[0] = Rec(100, 0);
   pool.set_used(p, 1);
-  pool.Ref(p);
-  StatusOr<PageId> q = pool.EnsureExclusive(p);
+  pool.Ref(p, b);
+  StatusOr<PageId> q = pool.EnsureExclusive(p, b);
   ASSERT_TRUE(q.ok());
   EXPECT_NE(*q, p);
   EXPECT_EQ(pool.stats().cow_copies, 1u);
@@ -72,32 +78,48 @@ TEST(PagePoolTest, EnsureExclusiveCopiesWhenShared) {
   EXPECT_EQ(pool.refcount(*q), 1u);
   EXPECT_EQ(pool.Records(*q)[0].token, 100);
   EXPECT_EQ(pool.used(*q), 1u);
+  // `b` now holds the copy, `a` the original: one page each.
+  EXPECT_EQ(pool.HolderPages(a, Tier::kGpu), 1u);
+  EXPECT_EQ(pool.HolderPages(b, Tier::kGpu), 1u);
+  pool.Unref(*q, b);
+  EXPECT_EQ(pool.HolderPages(b, Tier::kGpu), 0u);
 }
 
 TEST(PagePoolTest, MoveToTierAccounting) {
   PagePool pool(2, 2);
-  PageId p = *pool.Allocate(Tier::kGpu);
+  HolderId a = pool.NewHolder();
+  HolderId b = pool.NewHolder();
+  PageId p = *pool.Allocate(Tier::kGpu, a);
+  pool.Ref(p, b);
   ASSERT_TRUE(pool.MoveToTier(p, Tier::kHost).ok());
   EXPECT_EQ(pool.tier(p), Tier::kHost);
   EXPECT_EQ(pool.stats().gpu_pages_used, 0u);
   EXPECT_EQ(pool.stats().host_pages_used, 1u);
+  // Moving a shared page moves it for every holder.
+  for (HolderId h : {a, b}) {
+    EXPECT_EQ(pool.HolderPages(h, Tier::kGpu), 0u);
+    EXPECT_EQ(pool.HolderPages(h, Tier::kHost), 1u);
+  }
   // Move back.
   ASSERT_TRUE(pool.MoveToTier(p, Tier::kGpu).ok());
   EXPECT_EQ(pool.tier(p), Tier::kGpu);
+  EXPECT_EQ(pool.HolderPages(b, Tier::kGpu), 1u);
 }
 
 TEST(PagePoolTest, MoveToFullTierFails) {
   PagePool pool(2, 1);
-  PageId a = *pool.Allocate(Tier::kGpu);
-  ASSERT_TRUE(pool.Allocate(Tier::kHost).ok());
+  HolderId h = pool.NewHolder();
+  PageId a = *pool.Allocate(Tier::kGpu, h);
+  ASSERT_TRUE(pool.Allocate(Tier::kHost, h).ok());
   EXPECT_FALSE(pool.MoveToTier(a, Tier::kHost).ok());
 }
 
 TEST(PagePoolTest, SlotReuseAfterFree) {
   PagePool pool(1, 0);
-  PageId a = *pool.Allocate(Tier::kGpu);
-  pool.Unref(a);
-  PageId b = *pool.Allocate(Tier::kGpu);
+  HolderId h = pool.NewHolder();
+  PageId a = *pool.Allocate(Tier::kGpu, h);
+  pool.Unref(a, h);
+  PageId b = *pool.Allocate(Tier::kGpu, h);
   EXPECT_EQ(a, b);  // Free list reuses the slot.
 }
 

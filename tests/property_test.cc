@@ -75,6 +75,7 @@ TEST_P(PagePoolPropertyTest, MatchesReferenceModel) {
   constexpr uint64_t kGpuBudget = 24;
   constexpr uint64_t kHostBudget = 24;
   PagePool pool(kGpuBudget, kHostBudget);
+  HolderId holder = pool.NewHolder();
 
   struct RefPage {
     uint32_t refcount;
@@ -90,13 +91,23 @@ TEST_P(PagePoolPropertyTest, MatchesReferenceModel) {
     }
     return n;
   };
+  // Every reference is the one holder's, counted once per reference.
+  auto refs_in = [&](Tier tier) {
+    uint64_t n = 0;
+    for (const auto& [id, page] : reference) {
+      if (page.tier == tier) {
+        n += page.refcount;
+      }
+    }
+    return n;
+  };
 
   for (int step = 0; step < 2000; ++step) {
     switch (rng.NextBounded(4)) {
       case 0: {  // Allocate.
         Tier tier = rng.NextBounded(2) == 0 ? Tier::kGpu : Tier::kHost;
         uint64_t budget = tier == Tier::kGpu ? kGpuBudget : kHostBudget;
-        StatusOr<PageId> page = pool.Allocate(tier);
+        StatusOr<PageId> page = pool.Allocate(tier, holder);
         if (used_in(tier) >= budget) {
           EXPECT_FALSE(page.ok());
         } else {
@@ -112,7 +123,7 @@ TEST_P(PagePoolPropertyTest, MatchesReferenceModel) {
         }
         auto it = reference.begin();
         std::advance(it, rng.NextBounded(reference.size()));
-        pool.Ref(it->first);
+        pool.Ref(it->first, holder);
         ++it->second.refcount;
         break;
       }
@@ -122,7 +133,7 @@ TEST_P(PagePoolPropertyTest, MatchesReferenceModel) {
         }
         auto it = reference.begin();
         std::advance(it, rng.NextBounded(reference.size()));
-        pool.Unref(it->first);
+        pool.Unref(it->first, holder);
         if (--it->second.refcount == 0) {
           reference.erase(it);
         }
@@ -149,6 +160,8 @@ TEST_P(PagePoolPropertyTest, MatchesReferenceModel) {
     // Invariants after every step.
     ASSERT_EQ(pool.stats().gpu_pages_used, used_in(Tier::kGpu));
     ASSERT_EQ(pool.stats().host_pages_used, used_in(Tier::kHost));
+    ASSERT_EQ(pool.HolderPages(holder, Tier::kGpu), refs_in(Tier::kGpu));
+    ASSERT_EQ(pool.HolderPages(holder, Tier::kHost), refs_in(Tier::kHost));
   }
   for (const auto& [id, page] : reference) {
     EXPECT_EQ(pool.refcount(id), page.refcount);
