@@ -12,13 +12,13 @@ PagePool::PagePool(uint64_t gpu_page_budget, uint64_t host_page_budget)
 
 PagePool::PageMeta& PagePool::Meta(PageId id) {
   assert(id < pages_.size());
-  assert(pages_[id].live);
+  assert(!pages_[id].holders.empty());  // Live.
   return pages_[id];
 }
 
 const PagePool::PageMeta& PagePool::Meta(PageId id) const {
   assert(id < pages_.size());
-  assert(pages_[id].live);
+  assert(!pages_[id].holders.empty());  // Live.
   return pages_[id];
 }
 
@@ -72,39 +72,29 @@ StatusOr<PageId> PagePool::Allocate(Tier tier, HolderId holder) {
     pages_.emplace_back();
   }
   PageMeta& meta = pages_[id];
-  assert(meta.holders.empty());
   meta.records = {};
   meta.used = 0;
-  meta.refcount = 1;
   meta.tier = tier;
-  meta.live = true;
   AddHolder(meta, holder);
   ++TierUsage(tier);
   ++stats_.allocations;
   return id;
 }
 
-void PagePool::Ref(PageId id, HolderId holder) {
-  PageMeta& meta = Meta(id);
-  ++meta.refcount;
-  AddHolder(meta, holder);
-}
+void PagePool::Ref(PageId id, HolderId holder) { AddHolder(Meta(id), holder); }
 
 void PagePool::Unref(PageId id, HolderId holder) {
   PageMeta& meta = Meta(id);
-  assert(meta.refcount > 0);
   RemoveHolder(meta, holder);
-  if (--meta.refcount == 0) {
-    assert(meta.holders.empty());
+  if (meta.holders.empty()) {
     --TierUsage(meta.tier);
-    meta.live = false;
     free_list_.push_back(id);
     ++stats_.frees;
   }
 }
 
 StatusOr<PageId> PagePool::EnsureExclusive(PageId id, HolderId holder) {
-  if (Meta(id).refcount == 1) {
+  if (refcount(id) == 1) {
     return id;
   }
   SYMPHONY_ASSIGN_OR_RETURN(PageId copy, Allocate(Meta(id).tier, holder));
@@ -114,7 +104,6 @@ StatusOr<PageId> PagePool::EnsureExclusive(PageId id, HolderId holder) {
   copy_meta.records = src_meta.records;
   copy_meta.used = src_meta.used;
   RemoveHolder(src_meta, holder);
-  --src_meta.refcount;
   ++stats_.cow_copies;
   return copy;
 }
@@ -148,7 +137,9 @@ void PagePool::set_used(PageId id, uint32_t used) {
   assert(used <= kPageTokens);
   Meta(id).used = used;
 }
-uint32_t PagePool::refcount(PageId id) const { return Meta(id).refcount; }
+uint32_t PagePool::refcount(PageId id) const {
+  return static_cast<uint32_t>(Meta(id).holders.size());
+}
 Tier PagePool::tier(PageId id) const { return Meta(id).tier; }
 
 }  // namespace symphony

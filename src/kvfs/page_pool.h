@@ -96,10 +96,9 @@ class PagePool {
   struct PageMeta {
     std::array<TokenRecord, kPageTokens> records;
     uint32_t used = 0;
-    uint32_t refcount = 0;
     Tier tier = Tier::kGpu;
-    bool live = false;
-    // The holder of each reference; cleared, not freed, when the page is.
+    // The holder of each reference: its length is the refcount, and a page
+    // is live while it is non-empty.
     std::vector<HolderId> holders;
   };
 
