@@ -433,10 +433,12 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     // ahead of this one's — one result, bit-identical to unchunked.
     result.dists = std::move(*request.chunk_dists);
     request.chunk_dists.reset();
+    result.dists.insert(result.dists.end(),
+                        std::make_move_iterator(dists.begin()),
+                        std::make_move_iterator(dists.end()));
+  } else {
+    result.dists = std::move(dists);
   }
-  result.dists.insert(result.dists.end(),
-                      std::make_move_iterator(dists.begin()),
-                      std::make_move_iterator(dists.end()));
   uint64_t pred_tokens = request.chunk_done + take;
   uint64_t context_after = *length + take;
   LipId lip = request.lip;
