@@ -129,7 +129,6 @@ MixResult RunSingleServerMix(uint64_t chunk) {
   Simulator sim;
   ServerOptions options;  // Llama-13B on A100.
   options.scheduler.prefill_chunk_tokens = chunk;
-  options.scheduler.decode_priority = chunk > 0;
   SymphonyServer server(&sim, options);
 
   SampleSeries decode_ms;
@@ -229,7 +228,6 @@ MixResult RunClusterMix(bool chunked, bool disagg) {
   }
   if (chunked) {
     options.server.scheduler.prefill_chunk_tokens = 512;
-    options.server.scheduler.decode_priority = true;
   }
   SymphonyCluster cluster(&sim, options);
 

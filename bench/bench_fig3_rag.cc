@@ -49,7 +49,6 @@ SystemResults RunAll(const RagConfig& config) {
   ServerOptions symphony_options;  // Llama-13B on A100, eager batching.
   if (g_chunked) {
     symphony_options.scheduler.prefill_chunk_tokens = 512;
-    symphony_options.scheduler.decode_priority = true;
   }
   // Symphony admits a few more concurrent requests than the baselines' 16
   // slots: forked KV files share document pages, so the private footprint

@@ -5,19 +5,21 @@
 #        bench/diff_outputs.sh --list   (the targets it needs built)
 #
 # Runs the deterministic virtual-time benches and examples below from both
-# CMake build trees and `diff -u`s their stdout. These programs print no
-# host-time fields, so two runs of one build are byte-identical and any
-# difference is a behaviour change. Left out: bench_overload (747 CPU-s
+# CMake build trees and `diff -u`s their stdout. An entry may carry
+# arguments after the program path; it is then a run of its own. These
+# programs print no host-time fields, so two runs of one build are
+# byte-identical and any difference is a behaviour change. Left out: bench_overload (747 CPU-s
 # and 1.4 GB peak RSS on a shared 4-core VM) and bench_kvfs_micro (host
 # timings). Exits 1 on any difference (2 on a missing binary or a program
 # that crashes). The diffs land in OUT_DIR (default: a temp dir), one
-# <program>.diff per differing program, and are echoed to stdout.
+# <run>.diff per differing run, and are echoed to stdout.
 #
 # Comparing two builds made with the same toolchain avoids committing golden
 # files whose floating-point formatting could differ between compilers.
 set -u
 
-# Paths relative to a build tree; the basename is the CMake target.
+# Paths relative to a build tree, each optionally followed by arguments; the
+# basename is the CMake target.
 programs=(
   bench/bench_cluster_scaling
   bench/bench_migration
@@ -28,6 +30,7 @@ programs=(
   bench/bench_fairness
   bench/bench_batch_policy
   bench/bench_fig3_rag
+  "bench/bench_fig3_rag --chunked"  # The RAG run that packs decodes first.
   bench/bench_constrained
   bench/bench_context_prune
   bench/bench_fork_vs_recompute
@@ -49,7 +52,13 @@ programs=(
 )
 
 if [ "${1:-}" = "--list" ]; then
-  echo "${programs[@]##*/}"
+  targets=()
+  for entry in "${programs[@]}"; do
+    read -r program _ <<< "$entry"
+    target=${program##*/}
+    [[ " ${targets[*]} " == *" $target "* ]] || targets+=("$target")
+  done
+  echo "${targets[@]}"
   exit 0
 fi
 if [ $# -lt 2 ]; then
@@ -62,8 +71,12 @@ out=${3:-$(mktemp -d)}
 mkdir -p "$out"
 
 status=0
-for program in "${programs[@]}"; do
-  bench=${program##*/}
+for entry in "${programs[@]}"; do
+  read -r -a argv <<< "$entry"
+  program=${argv[0]}
+  args=("${argv[@]:1}")
+  run="${program##*/}${args[*]:+ ${args[*]}}"
+  file=${run// /_}
   for tree in "$base" "$head"; do
     if [ ! -x "$tree/$program" ]; then
       echo "missing $tree/$program" >&2
@@ -72,22 +85,22 @@ for program in "${programs[@]}"; do
   done
   # A self-gating program (bench_disaggregation) may exit nonzero; its
   # output and exit code are still compared, so only a crash is an error.
-  "$base/$program" > "$out/$bench.base.txt" 2>&1
+  "$base/$program" "${args[@]}" > "$out/$file.base.txt" 2>&1
   base_rc=$?
-  "$head/$program" > "$out/$bench.head.txt" 2>&1
+  "$head/$program" "${args[@]}" > "$out/$file.head.txt" 2>&1
   head_rc=$?
   if [ "$base_rc" -gt 128 ] || [ "$head_rc" -gt 128 ]; then
-    echo "$bench crashed (base exit $base_rc, head exit $head_rc)" >&2
+    echo "$run crashed (base exit $base_rc, head exit $head_rc)" >&2
     exit 2
   fi
-  if diff -u --label "base/$bench" --label "head/$bench" \
-      "$out/$bench.base.txt" "$out/$bench.head.txt" > "$out/$bench.diff" &&
+  if diff -u --label "base/$run" --label "head/$run" \
+      "$out/$file.base.txt" "$out/$file.head.txt" > "$out/$file.diff" &&
       [ "$base_rc" -eq "$head_rc" ]; then
-    rm "$out/$bench.diff"
-    echo "same    $bench"
+    rm "$out/$file.diff"
+    echo "same    $run"
   else
-    echo "DIFFERS $bench (exit base $base_rc, head $head_rc)"
-    cat "$out/$bench.diff"
+    echo "DIFFERS $run (exit base $base_rc, head $head_rc)"
+    cat "$out/$file.diff"
     status=1
   fi
 done

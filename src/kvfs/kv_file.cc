@@ -16,8 +16,7 @@ KvFileData::KvFileData(KvFileData&& other) noexcept
     : pool_(other.pool_),
       holder_(std::exchange(other.holder_, kNoHolder)),
       pages_(std::move(other.pages_)),
-      length_(std::exchange(other.length_, 0)),
-      page_ref_observer_(std::move(other.page_ref_observer_)) {
+      length_(std::exchange(other.length_, 0)) {
   other.pages_.clear();
 }
 
@@ -29,7 +28,6 @@ KvFileData& KvFileData::operator=(KvFileData&& other) noexcept {
     std::swap(holder_, other.holder_);
     pages_ = std::move(other.pages_);
     length_ = std::exchange(other.length_, 0);
-    page_ref_observer_ = std::move(other.page_ref_observer_);
     other.pages_.clear();
   }
   return *this;
@@ -49,7 +47,6 @@ Status KvFileData::Append(const TokenRecord& record, Tier tier) {
     // Need a fresh page.
     SYMPHONY_ASSIGN_OR_RETURN(PageId page, pool_->Allocate(tier, holder_));
     pages_.push_back(page);
-    NotifyDelta(1);
   } else {
     SYMPHONY_RETURN_IF_ERROR(MakeExclusive(pages_.size() - 1));
   }
@@ -90,13 +87,10 @@ Status KvFileData::Truncate(uint64_t new_length) {
     // tail first, so a failed copy leaves the file untouched.
     SYMPHONY_RETURN_IF_ERROR(MakeExclusive(keep_pages - 1));
   }
-  int64_t dropped = 0;
   while (pages_.size() > keep_pages) {
     pool_->Unref(pages_.back(), holder_);
     pages_.pop_back();
-    --dropped;
   }
-  NotifyDelta(dropped);
   length_ = new_length;
   if (tail_used != 0) {
     pool_->set_used(pages_.back(), tail_used);
@@ -116,12 +110,10 @@ Status KvFileData::CloneFrom(const KvFileData& other) {
   for (PageId page : pages_) {
     pool_->Ref(page, holder_);
   }
-  NotifyDelta(static_cast<int64_t>(pages_.size()));
   return Status::Ok();
 }
 
 void KvFileData::ReleaseAll() {
-  NotifyDelta(-static_cast<int64_t>(pages_.size()));
   for (PageId page : pages_) {
     pool_->Unref(page, holder_);
   }

@@ -9,7 +9,6 @@
 #define SRC_KVFS_KV_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,8 +21,10 @@ namespace symphony {
 
 class KvFileData {
  public:
-  // `pool` must outlive the file. The file is one holder of the pool.
-  explicit KvFileData(PagePool* pool) : pool_(pool), holder_(pool->NewHolder()) {}
+  // `pool` must outlive the file. The file is one holder of the pool, and
+  // its page references count against `account` (the owning LIP).
+  explicit KvFileData(PagePool* pool, LipId account = kNoLip)
+      : pool_(pool), holder_(pool->NewHolder(account)) {}
 
   ~KvFileData();
   KvFileData(const KvFileData&) = delete;
@@ -60,19 +61,7 @@ class KvFileData {
   // keeps the count, including moves made through a copy-on-write sibling.
   uint64_t PagesInTier(Tier tier) const { return pool_->HolderPages(holder_, tier); }
 
-  // Observer of this file's page-reference count (for per-owner resource
-  // accounting): called with +n / -n whenever pages_ grows or shrinks.
-  void set_page_ref_observer(std::function<void(int64_t)> observer) {
-    page_ref_observer_ = std::move(observer);
-  }
-
  private:
-  void NotifyDelta(int64_t delta) {
-    if (page_ref_observer_ && delta != 0) {
-      page_ref_observer_(delta);
-    }
-  }
-
   // Copy-on-write: ensures pages_[page_index] is exclusively owned.
   Status MakeExclusive(size_t page_index);
 
@@ -80,7 +69,6 @@ class KvFileData {
   HolderId holder_;
   std::vector<PageId> pages_;
   uint64_t length_ = 0;
-  std::function<void(int64_t)> page_ref_observer_;
 };
 
 }  // namespace symphony

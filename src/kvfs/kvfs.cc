@@ -31,7 +31,7 @@ SimTime Kvfs::Now() {
   return ++fallback_clock_;
 }
 
-FileId Kvfs::AllocateFileSlot() {
+FileId Kvfs::AllocateFileSlot(LipId owner) {
   FileId id;
   if (!free_file_slots_.empty()) {
     id = free_file_slots_.back();
@@ -45,21 +45,13 @@ FileId Kvfs::AllocateFileSlot() {
   entry = FileEntry{};
   entry.generation = generation;
   entry.live = true;
-  entry.data.emplace(&pool_);
-  // Attribute this file's page references to its (future) owner. The owner
-  // field is always assigned before any pages are added.
-  entry.data->set_page_ref_observer([this, id](int64_t delta) {
-    owner_page_refs_[files_[id].owner] += delta;
-  });
+  entry.owner = owner;
+  entry.data.emplace(&pool_, owner);
   return id;
 }
 
 uint64_t Kvfs::OwnerPageRefs(LipId owner) const {
-  auto it = owner_page_refs_.find(owner);
-  if (it == owner_page_refs_.end() || it->second < 0) {
-    return 0;
-  }
-  return static_cast<uint64_t>(it->second);
+  return pool_.AccountPageRefs(owner);
 }
 
 uint64_t Kvfs::PageQuota(LipId owner) const {
@@ -144,10 +136,9 @@ StatusOr<KvHandle> Kvfs::Open(std::string_view path, const OpenOptions& options)
     if (!options.create) {
       return NotFoundError("no such kv file: " + std::string(path));
     }
-    id = AllocateFileSlot();
+    id = AllocateFileSlot(options.requester);
     FileEntry& entry = files_[id];
     entry.path = std::string(path);
-    entry.owner = options.requester;
     entry.mode = options.create_mode;
     names_.emplace(entry.path, id);
     read = write = true;
@@ -177,9 +168,8 @@ StatusOr<KvHandle> Kvfs::Open(std::string_view path, const OpenOptions& options)
 
 StatusOr<KvHandle> Kvfs::NewFile(LipId owner,
                                  const std::function<Status(FileEntry&)>& fill) {
-  FileId id = AllocateFileSlot();
+  FileId id = AllocateFileSlot(owner);
   FileEntry& file = files_[id];
-  file.owner = owner;
   file.unlinked = true;  // Reclaimed when its last handle closes.
   file.last_access = Now();
   file.open_count = 1;

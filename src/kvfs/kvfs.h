@@ -6,6 +6,11 @@
 // (GPU + host); when the GPU tier fills, the least-recently-used eligible
 // file is offloaded to the host or dropped.
 //
+// Every file has a fixed owner, and its pages are charged to the owner's
+// account in the PagePool: the pool counts each page reference against it,
+// so OwnerPageRefs() (what the per-owner page quota reads) is O(1) and never
+// disagrees with the pages actually held.
+//
 // Time/cost separation: KVFS never consumes virtual time itself. Operations
 // that imply data movement (offload, restore, eviction) accumulate
 // `pending_transfer_bytes`, which the serving layer drains and converts into
@@ -211,7 +216,8 @@ class Kvfs {
   void set_bytes_per_page(uint64_t bytes) { bytes_per_page_ = bytes; }
   void set_page_quota_hook(PageQuotaHook hook) { page_quota_ = std::move(hook); }
 
-  // Page references currently attributed to files owned by `owner`.
+  // Page references currently held by files owned by `owner`: the pool's
+  // count for the owner's account. O(1).
   uint64_t OwnerPageRefs(LipId owner) const;
 
  private:
@@ -243,7 +249,9 @@ class Kvfs {
   };
 
   SimTime Now();
-  FileId AllocateFileSlot();
+  // A fresh live file slot owned by `owner`, whose pages are charged to the
+  // owner's account in the pool. The owner never changes afterwards.
+  FileId AllocateFileSlot(LipId owner);
   void ReclaimIfOrphaned(FileId id);
   StatusOr<HandleEntry> ResolveHandle(KvHandle handle) const;
   StatusOr<KvHandle> MakeHandle(FileId file, LipId requester, bool read, bool write);
@@ -281,9 +289,6 @@ class Kvfs {
 
   KvfsOptions options_;
   PagePool pool_;
-  // Declared before files_ so it outlives every KvFileData destructor (their
-  // page-ref observers write into this map during teardown).
-  std::unordered_map<LipId, int64_t> owner_page_refs_;
   std::vector<FileEntry> files_;
   std::vector<uint32_t> free_file_slots_;
   std::vector<HandleEntry> handles_;

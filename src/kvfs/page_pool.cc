@@ -27,9 +27,11 @@ uint64_t& PagePool::TierUsage(Tier tier) {
 }
 
 void PagePool::AddHolder(PageMeta& meta, HolderId holder) {
-  assert(holder < holder_pages_.size());
+  assert(holder < holders_.size());
   meta.holders.push_back(holder);
-  ++holder_pages_[holder][static_cast<size_t>(meta.tier)];
+  HolderMeta& h = holders_[holder];
+  ++h.pages[static_cast<size_t>(meta.tier)];
+  ++*h.account_refs;
 }
 
 void PagePool::RemoveHolder(PageMeta& meta, HolderId holder) {
@@ -37,21 +39,31 @@ void PagePool::RemoveHolder(PageMeta& meta, HolderId holder) {
   assert(it != meta.holders.end());
   *it = meta.holders.back();
   meta.holders.pop_back();
-  --holder_pages_[holder][static_cast<size_t>(meta.tier)];
+  HolderMeta& h = holders_[holder];
+  --h.pages[static_cast<size_t>(meta.tier)];
+  --*h.account_refs;
 }
 
-HolderId PagePool::NewHolder() {
+HolderId PagePool::NewHolder(LipId account) {
+  HolderId holder;
   if (!free_holders_.empty()) {
-    HolderId holder = free_holders_.back();
+    holder = free_holders_.back();
     free_holders_.pop_back();
-    return holder;
+  } else {
+    holder = static_cast<HolderId>(holders_.size());
+    holders_.emplace_back();
   }
-  holder_pages_.emplace_back();
-  return static_cast<HolderId>(holder_pages_.size() - 1);
+  holders_[holder].account_refs = &account_refs_[account];
+  return holder;
+}
+
+uint64_t PagePool::AccountPageRefs(LipId account) const {
+  auto it = account_refs_.find(account);
+  return it == account_refs_.end() ? 0 : it->second;
 }
 
 void PagePool::FreeHolder(HolderId holder) {
-  assert(holder < holder_pages_.size());
+  assert(holder < holders_.size());
   assert(HolderPages(holder, Tier::kGpu) == 0);
   assert(HolderPages(holder, Tier::kHost) == 0);
   free_holders_.push_back(holder);
@@ -118,7 +130,7 @@ Status PagePool::MoveToTier(PageId id, Tier tier) {
     return ResourceExhaustedError("target tier full");
   }
   for (HolderId holder : meta.holders) {
-    std::array<uint64_t, 2>& pages = holder_pages_[holder];
+    std::array<uint64_t, 2>& pages = holders_[holder].pages;
     --pages[static_cast<size_t>(meta.tier)];
     ++pages[static_cast<size_t>(tier)];
   }

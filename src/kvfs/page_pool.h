@@ -12,6 +12,10 @@
 // holder of the page, so a file's residency stays exact when a copy-on-write
 // sibling moves a shared page, and HolderPages() is O(1).
 //
+// Each holder is charged to an account (the owning LIP of its file) fixed
+// at NewHolder(). The pool counts every page reference against its holder's
+// account, so AccountPageRefs() is the per-LIP page usage that quotas read.
+//
 // The pool is mechanism only. Which file to evict, and whether eviction means
 // offload-to-host or drop, is policy owned by Kvfs.
 #ifndef SRC_KVFS_PAGE_POOL_H_
@@ -20,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -48,19 +53,22 @@ class PagePool {
   PagePool(const PagePool&) = delete;
   PagePool& operator=(const PagePool&) = delete;
 
-  // Returns a fresh holder id with no pages.
-  HolderId NewHolder();
+  // Returns a fresh holder id with no pages, charged to `account`.
+  HolderId NewHolder(LipId account = kNoLip);
 
   // Retires a holder, which must no longer hold any page.
   void FreeHolder(HolderId holder);
 
   // Pages `holder` references in `tier`. O(1).
   uint64_t HolderPages(HolderId holder, Tier tier) const {
-    return holder_pages_[holder][static_cast<size_t>(tier)];
+    return holders_[holder].pages[static_cast<size_t>(tier)];
   }
 
+  // Page references held by the holders charged to `account`. O(1).
+  uint64_t AccountPageRefs(LipId account) const;
+
   // Holder ids currently issued and not yet freed.
-  uint64_t live_holders() const { return holder_pages_.size() - free_holders_.size(); }
+  uint64_t live_holders() const { return holders_.size() - free_holders_.size(); }
 
   // Allocates an empty page in `tier` with refcount 1, held by `holder`.
   StatusOr<PageId> Allocate(Tier tier, HolderId holder);
@@ -101,6 +109,11 @@ class PagePool {
     // is live while it is non-empty.
     std::vector<HolderId> holders;
   };
+  struct HolderMeta {
+    std::array<uint64_t, 2> pages{};  // [tier]
+    // The account's entry in account_refs_; node-based, so it stays put.
+    uint64_t* account_refs = nullptr;
+  };
 
   PageMeta& Meta(PageId id);
   const PageMeta& Meta(PageId id) const;
@@ -112,8 +125,9 @@ class PagePool {
   uint64_t host_budget_;
   std::vector<PageMeta> pages_;
   std::vector<PageId> free_list_;
-  std::vector<std::array<uint64_t, 2>> holder_pages_;  // [holder][tier]
+  std::vector<HolderMeta> holders_;
   std::vector<HolderId> free_holders_;
+  std::unordered_map<LipId, uint64_t> account_refs_;
   PagePoolStats stats_;
 };
 

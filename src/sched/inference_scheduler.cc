@@ -6,6 +6,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -21,12 +22,52 @@ constexpr double kRateEwmaAlpha = 0.2;
 // client population splits into two alternating half-sized batches.
 constexpr SimDuration kFormationDelay = Micros(100);
 // A request with at most this many new tokens counts as a decode for
-// decode-priority packing, token-occupancy stats and the prefill-complete
+// decode-first packing, token-occupancy stats and the prefill-complete
 // hook; continuations of a split prefill always count as prefill regardless
 // of their tail size.
 constexpr uint64_t kDecodeClassifyTokens = 8;
 
+bool IsDecode(const PredRequest& request) {
+  return request.chunk_done == 0 &&
+         request.tokens.size() <= kDecodeClassifyTokens;
+}
+
 }  // namespace
+
+std::vector<size_t> BatchPickOrder(const std::deque<PredRequest>& queue,
+                                   const InferenceSchedulerOptions& options) {
+  // The visit order, which is already sorted by phase.
+  bool decode_first = options.prefill_chunk_tokens > 0;
+  std::vector<size_t> order;
+  order.reserve(queue.size());
+  for (size_t i = 0; i < queue.size(); ++i) {
+    if (!decode_first || IsDecode(queue[i])) {
+      order.push_back(i);
+    }
+  }
+  auto first_phase_end = static_cast<ptrdiff_t>(order.size());
+  if (decode_first) {
+    for (size_t i = 0; i < queue.size(); ++i) {
+      if (!IsDecode(queue[i])) {
+        order.push_back(i);
+      }
+    }
+  }
+  if (options.discipline == QueueDiscipline::kFifo) {
+    return order;  // Every turn is 0.
+  }
+  // A continuation of a chunked prefill carries its original LIP, so a split
+  // prefill still costs its LIP exactly one turn.
+  std::vector<uint32_t> turn(queue.size());
+  std::unordered_map<LipId, uint32_t> visited;
+  for (size_t i : order) {
+    turn[i] = visited[queue[i].lip]++;
+  }
+  auto by_turn = [&turn](size_t a, size_t b) { return turn[a] < turn[b]; };
+  std::stable_sort(order.begin(), order.begin() + first_phase_end, by_turn);
+  std::stable_sort(order.begin() + first_phase_end, order.end(), by_turn);
+  return order;
+}
 
 InferenceScheduler::InferenceScheduler(Simulator* sim, Kvfs* kvfs,
                                        const Model* model, Device* device,
@@ -92,10 +133,10 @@ void InferenceScheduler::MaybeLaunch() {
     return;
   }
 
-  // Build the prospective batch profile for the policy in the same order
-  // LaunchBatch would pick (discipline, decode priority, chunk caps), so
-  // est_batch_time describes the batch that actually launches.
-  std::vector<WorkItem> items = ProspectiveItems();
+  // The policy's est_batch_time describes the batch LaunchBatch would take
+  // from the same order.
+  std::vector<size_t> order = BatchPickOrder(queue_, options_);
+  std::vector<WorkItem> items = ProspectiveItems(order);
 
   BatchPolicyInput input;
   input.queue_size = queue_.size();
@@ -106,7 +147,7 @@ void InferenceScheduler::MaybeLaunch() {
 
   BatchDecision decision = policy_->ShouldLaunch(input);
   if (decision.launch) {
-    LaunchBatch();
+    LaunchBatch(order);
     return;
   }
   SimDuration delay = std::max<SimDuration>(decision.recheck_after, Micros(10));
@@ -114,41 +155,6 @@ void InferenceScheduler::MaybeLaunch() {
     recheck_event_ = 0;
     MaybeLaunch();
   });
-}
-
-// Picks the next un-picked request index under the active discipline: FIFO
-// takes arrival order; fair share takes the oldest request among LIPs with
-// the fewest picks so far this batch. A continuation of a chunked prefill
-// carries its original LIP, so a split prefill still costs its LIP exactly
-// one fair-share turn per batch.
-size_t InferenceScheduler::PickNext(
-    const std::unordered_map<LipId, uint32_t>& taken,
-    const std::vector<char>& picked, bool decode_only) const {
-  size_t best = kNoPick;
-  uint32_t best_count = UINT32_MAX;
-  for (size_t i = 0; i < picked.size(); ++i) {
-    if (picked[i] != 0 || (decode_only && !IsDecode(queue_[i]))) {
-      continue;
-    }
-    if (options_.discipline == QueueDiscipline::kFifo) {
-      return i;
-    }
-    auto it = taken.find(queue_[i].lip);
-    uint32_t count = it == taken.end() ? 0 : it->second;
-    if (count < best_count) {
-      best = i;
-      best_count = count;
-      if (count == 0) {
-        break;  // Arrival order among zero-count LIPs.
-      }
-    }
-  }
-  return best;
-}
-
-bool InferenceScheduler::IsDecode(const PredRequest& request) const {
-  return request.chunk_done == 0 &&
-         request.tokens.size() <= kDecodeClassifyTokens;
 }
 
 uint64_t InferenceScheduler::ChunkTake(const PredRequest& request) const {
@@ -169,43 +175,35 @@ void InferenceScheduler::RecordQueueWait(const PredRequest& request) {
 }
 
 template <typename Add>
-void InferenceScheduler::ForEachPick(std::vector<char>& picked,
+void InferenceScheduler::ForEachPick(const std::vector<size_t>& order,
                                      Add add) const {
-  std::unordered_map<LipId, uint32_t> taken;
-  size_t left = picked.size();
+  bool decode_first = options_.prefill_chunk_tokens > 0;
   size_t added = 0;
   uint64_t total_tokens = 0;
-  bool decode_phase = options_.decode_priority;
-  while (left > 0 && added < options_.max_batch_requests &&
-         total_tokens < options_.max_batch_tokens) {
-    size_t pick = PickNext(taken, picked, decode_phase);
-    if (pick == kNoPick) {
-      if (decode_phase) {
-        decode_phase = false;  // Decodes exhausted; top up with one prefill.
-        continue;
-      }
+  for (size_t i : order) {
+    if (added >= options_.max_batch_requests ||
+        total_tokens >= options_.max_batch_tokens) {
       break;
     }
-    picked[pick] = 1;
-    --left;
-    ++taken[queue_[pick].lip];
-    std::optional<uint64_t> take = add(pick);
+    // Read before `add`, which may move the request out of the queue.
+    bool prefill_top_up = decode_first && !IsDecode(queue_[i]);
+    std::optional<uint64_t> take = add(i);
     if (!take.has_value()) {
       continue;
     }
     ++added;
     total_tokens += *take;
-    if (!decode_phase && options_.decode_priority) {
-      break;  // Decode-priority batches carry at most one prefill chunk.
+    if (prefill_top_up) {
+      break;  // Decode-first batches carry at most one prefill chunk.
     }
   }
 }
 
-std::vector<WorkItem> InferenceScheduler::ProspectiveItems() const {
+std::vector<WorkItem> InferenceScheduler::ProspectiveItems(
+    const std::vector<size_t>& order) const {
   std::vector<WorkItem> items;
   items.reserve(std::min(queue_.size(), options_.max_batch_requests));
-  std::vector<char> picked(queue_.size(), 0);
-  ForEachPick(picked, [&](size_t i) -> std::optional<uint64_t> {
+  ForEachPick(order, [&](size_t i) -> std::optional<uint64_t> {
     uint64_t take = ChunkTake(queue_[i]);
     StatusOr<uint64_t> length = kvfs_->Length(queue_[i].kv);
     items.push_back(WorkItem{take, length.ok() ? *length : 0});
@@ -214,7 +212,7 @@ std::vector<WorkItem> InferenceScheduler::ProspectiveItems() const {
   return items;
 }
 
-void InferenceScheduler::LaunchBatch() {
+void InferenceScheduler::LaunchBatch(const std::vector<size_t>& order) {
   struct BatchEntry {
     PredRequest request;
     uint64_t take;  // New tokens of this request executed by this batch.
@@ -225,7 +223,8 @@ void InferenceScheduler::LaunchBatch() {
   // callbacks never reenter the scheduler synchronously, but a mid-loop
   // push_back past the mask would be kept untouched).
   std::vector<char> picked(queue_.size(), 0);
-  ForEachPick(picked, [&](size_t i) -> std::optional<uint64_t> {
+  ForEachPick(order, [&](size_t i) -> std::optional<uint64_t> {
+    picked[i] = 1;
     bool decode = IsDecode(queue_[i]);
     PredRequest request = std::move(queue_[i]);
     StatusOr<uint64_t> context = Validate(request);
@@ -267,16 +266,20 @@ void InferenceScheduler::LaunchBatch() {
     return take;
   });
 
-  // Compact the queue: drop picked slots, keep everything else (including
-  // entries appended past the mask while completing failures above).
-  std::deque<PredRequest> kept;
-  for (size_t i = 0; i < queue_.size(); ++i) {
+  // Compact the queue in place, toward the back: drop picked slots and keep
+  // everything else in order (including entries appended past the mask
+  // while completing failures above). A batch taken from the front of the
+  // queue moves no request.
+  size_t kept_from = queue_.size();
+  for (size_t i = queue_.size(); i-- > 0;) {
     if (i < picked.size() && picked[i] != 0) {
       continue;
     }
-    kept.push_back(std::move(queue_[i]));
+    if (--kept_from != i) {
+      queue_[kept_from] = std::move(queue_[i]);
+    }
   }
-  queue_ = std::move(kept);
+  queue_.erase(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(kept_from));
 
   if (batch->empty()) {
     // Everything in this round failed validation; look again.
@@ -399,7 +402,7 @@ void InferenceScheduler::CompleteRequest(PredRequest& request, uint64_t take) {
     // original submit time, LIP identity, and completion callback, so
     // fair-share, deadlines, and memory-requeue treat it as the one request
     // it is. Front of the queue: under FIFO the prefill finishes as early as
-    // unchunked would; decode-priority packing reorders around it anyway.
+    // unchunked would; decode-first packing reorders around it anyway.
     if (request.chunk_dists == nullptr) {
       ++stats_.prefills_chunked;
       request.chunk_dists = std::make_shared<std::vector<Distribution>>();

@@ -11,7 +11,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -56,16 +55,25 @@ struct InferenceSchedulerOptions {
   // to unchunked execution (the model advances token-sequentially either
   // way) — it only bounds how long a single batch can run, so a 3000-token
   // prefill can no longer stall every 1-token decode in its round.
-  // 0 disables chunking.
+  // Chunking also turns on decode-first packing: each batch takes every
+  // pending decode-sized request first, then tops up with at most ONE
+  // prefill chunk, so per-batch time is bounded by the decode load plus the
+  // chunk budget. A request counts as decode-sized when it is not a
+  // split-prefill continuation and has at most 8 new tokens.
+  // 0 disables both.
   uint64_t prefill_chunk_tokens = 0;
-  // Decode-priority packing: fill each batch with every pending decode-sized
-  // request first, then top up with at most ONE prefill chunk, so per-batch
-  // time is bounded by the decode load plus the chunk budget. Pair with
-  // prefill_chunk_tokens > 0 to actually bound the prefill contribution.
-  // A request counts as decode-sized when it is not a split-prefill
-  // continuation and has at most 8 new tokens.
-  bool decode_priority = false;
 };
+
+// The order in which one launch check offers queued requests to the batch,
+// as indices into `queue`; a pure function of the queue and the options.
+// Requests are visited in arrival order, decode-sized ones first under
+// decode-first packing (the prefills after them form the second phase).
+// Each gets a turn: under fair share, the number of same-LIP requests
+// visited before it; under FIFO, 0. The order is the visit order
+// stable-sorted by (second phase, turn), so fair share gives every LIP one
+// pick per round and a LIP flooding the queue cannot starve the others.
+std::vector<size_t> BatchPickOrder(const std::deque<PredRequest>& queue,
+                                   const InferenceSchedulerOptions& options);
 
 struct InferenceSchedulerStats {
   uint64_t submitted = 0;
@@ -120,25 +128,18 @@ class InferenceScheduler : public PredService {
   }
 
  private:
-  static constexpr size_t kNoPick = static_cast<size_t>(-1);
-
   void MaybeLaunch();
-  void LaunchBatch();
-  // Picks the next un-picked request index under the active discipline
-  // (kFifo: first; kFairShare: oldest among LIPs with fewest picks this
-  // batch), optionally restricted to decode-sized requests. kNoPick if none.
-  size_t PickNext(const std::unordered_map<LipId, uint32_t>& taken,
-                  const std::vector<char>& picked, bool decode_only) const;
-  // The batch pick loop: picks un-picked requests (marking `picked`) under
-  // the discipline and decode-priority packing until the request/token caps
-  // fill. `add(index)` takes the request and returns its new tokens, or
-  // nullopt when it drops out (failed validation or restore).
+  void LaunchBatch(const std::vector<size_t>& order);
+  // The batch cap loop: offers requests to `add` in `order` until the
+  // request/token caps fill. `add(index)` takes the request and returns its
+  // new tokens, or nullopt when it drops out (failed validation or restore).
+  // Under decode-first packing the first prefill added ends the batch.
   template <typename Add>
-  void ForEachPick(std::vector<char>& picked, Add add) const;
-  // Runs the pick loop without side effects so the policy's est_batch_time
-  // describes the batch that would actually launch.
-  std::vector<WorkItem> ProspectiveItems() const;
-  bool IsDecode(const PredRequest& request) const;
+  void ForEachPick(const std::vector<size_t>& order, Add add) const;
+  // The work items of the batch `order` would launch, without side effects,
+  // so the policy's est_batch_time describes the batch that actually
+  // launches.
+  std::vector<WorkItem> ProspectiveItems(const std::vector<size_t>& order) const;
   // New tokens this request would contribute to the next batch (its chunk).
   uint64_t ChunkTake(const PredRequest& request) const;
   // Samples the queue wait for the original request (not for continuations

@@ -1107,8 +1107,16 @@ size_t SymphonyCluster::SharePrefixes() {
       continue;
     }
     Kvfs& kvfs = slots_[i].server->kvfs();
-    for (const KvFileInfo& info : kvfs.ListAll()) {
-      if (info.path.empty() || info.opens_total < options_.share_min_opens ||
+    // Only named files can be shared. Visit them in FileId order: publish
+    // and import order feed store dedup and event ties.
+    std::vector<KvFileInfo> named;
+    for (const std::string& path : kvfs.List("")) {
+      named.push_back(*kvfs.StatPath(path));
+    }
+    std::sort(named.begin(), named.end(),
+              [](const KvFileInfo& a, const KvFileInfo& b) { return a.id < b.id; });
+    for (const KvFileInfo& info : named) {
+      if (info.opens_total < options_.share_min_opens ||
           info.length < options_.share_min_tokens) {
         continue;
       }

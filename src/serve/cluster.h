@@ -359,7 +359,7 @@ class SymphonyCluster : private ClusterControl {
     ControlPlaneStats ctrl;
     size_t ctrl_seat = kNoReplica;      // Where the membership service runs.
     uint64_t ipc_fenced_rejections = 0; // Fabric ops refused from fenced replicas.
-    // Stall-free scheduling (chunked prefill + decode priority, src/sched).
+    // Stall-free scheduling (chunked prefill + decode-first packing, src/sched).
     double queue_wait_p50_ms = 0.0;     // Scheduler queue waits, cluster-wide.
     double queue_wait_p99_ms = 0.0;
     uint64_t decode_tokens_batched = 0;   // Per-batch token occupancy, summed.

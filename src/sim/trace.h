@@ -32,7 +32,6 @@ class TraceRecorder {
   void Counter(std::string name, SimTime at, double value);
 
   size_t event_count() const { return events_.size(); }
-  void Clear() { events_.clear(); }
 
   // Serializes all events; timestamps are microseconds of virtual time.
   std::string ToChromeJson() const;

@@ -308,20 +308,4 @@ const SnapshotManifest* SnapshotStore::Find(uint64_t key) const {
   return it == manifests_.end() ? nullptr : &it->second.manifest;
 }
 
-bool SnapshotStore::LocalAt(size_t replica, uint64_t key) const {
-  const SnapshotManifest* manifest = Find(key);
-  if (manifest == nullptr || replica >= local_.size()) {
-    return manifest != nullptr && manifest->bytes == 0;
-  }
-  const std::unordered_set<uint64_t>& cache = local_[replica];
-  for (const StreamManifest& stream : manifest->streams) {
-    for (uint64_t chunk_key : stream.chunks) {
-      if (cache.count(chunk_key) == 0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace symphony

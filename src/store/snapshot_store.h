@@ -160,9 +160,6 @@ class SnapshotStore {
 
   const SnapshotManifest* Find(uint64_t key) const;
   bool Contains(uint64_t key) const { return Find(key) != nullptr; }
-  // True when every chunk of `key` is already cached at `replica` (an import
-  // would move zero bytes).
-  bool LocalAt(size_t replica, uint64_t key) const;
 
   size_t snapshot_count() const { return manifests_.size(); }
   size_t chunk_count() const { return chunks_.size(); }

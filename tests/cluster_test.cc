@@ -538,7 +538,6 @@ TEST_P(ChunkedKillSweepTest, KillMidChunkedPrefillReplaysBitIdentical) {
     ClusterOptions options = TinyCluster(2, RoutingPolicy::kLeastLoaded);
     options.enable_recovery = true;
     options.server.scheduler.prefill_chunk_tokens = 8;
-    options.server.scheduler.decode_priority = true;
     SymphonyCluster cluster(&sim, options);
     SymphonyCluster::ClusterLip lip =
         cluster.Launch("victim", "", PrefillThenDecode(prompt_len, 6));
@@ -583,7 +582,6 @@ TEST_P(DisaggKillSweepTest, KillAroundHandoffReplaysBitIdentical) {
     options.enable_recovery = true;
     options.checkpoint_journals = true;
     options.server.scheduler.prefill_chunk_tokens = 16;
-    options.server.scheduler.decode_priority = true;
     SymphonyCluster cluster(&sim, options);
     SymphonyCluster::ClusterLip lip = cluster.Launch(
         "handoff", "", /*prefill_hint_tokens=*/prompt_len,

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -628,13 +630,12 @@ struct LipObservation {
   uint64_t kv_len = 0;
 };
 
-// Runs a mixed prefill+decode workload under the given chunk size and packing
-// mode. Everything returned must be independent of `chunk` and
-// `decode_priority`: chunking may only change WHEN tokens are batched, never
-// what they compute.
+// Runs a mixed prefill+decode workload under the given chunk size (which also
+// switches on decode-first packing). Everything returned must be independent
+// of `chunk`: chunking may only change WHEN tokens are batched, never what
+// they compute.
 std::vector<LipObservation> RunChunkedWorkload(
-    uint64_t seed, uint64_t chunk, bool decode_priority,
-    InferenceSchedulerStats* stats_out) {
+    uint64_t seed, uint64_t chunk, InferenceSchedulerStats* stats_out) {
   Simulator sim;
   Model model(ModelConfig::Tiny());
   KvfsOptions kv_options;
@@ -644,7 +645,6 @@ std::vector<LipObservation> RunChunkedWorkload(
   Device device(&sim, CostModel(ModelConfig::Tiny()));
   InferenceSchedulerOptions options;
   options.prefill_chunk_tokens = chunk;
-  options.decode_priority = decode_priority;
   InferenceScheduler scheduler(&sim, &kvfs, &model, &device,
                                std::make_unique<EagerPolicy>(), options);
   LipRuntime runtime(&sim, &kvfs);
@@ -702,43 +702,135 @@ class ChunkInvarianceTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ChunkInvarianceTest, ChunkedExecutionIsBitIdentical) {
   uint64_t seed = GetParam();
   std::vector<LipObservation> baseline =
-      RunChunkedWorkload(seed, /*chunk=*/0, /*decode_priority=*/false, nullptr);
+      RunChunkedWorkload(seed, /*chunk=*/0, nullptr);
   for (const LipObservation& o : baseline) {
     ASSERT_FALSE(o.dist_states.empty());
     ASSERT_GT(o.kv_len, 0u);
   }
   for (uint64_t chunk : {uint64_t{1}, uint64_t{7}, uint64_t{64}, uint64_t{512}}) {
-    for (bool decode_priority : {false, true}) {
-      InferenceSchedulerStats stats;
-      std::vector<LipObservation> got =
-          RunChunkedWorkload(seed, chunk, decode_priority, &stats);
-      ASSERT_EQ(got.size(), baseline.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].dist_states, baseline[i].dist_states)
-            << "lip " << i << " chunk " << chunk << " dp " << decode_priority;
-        EXPECT_EQ(got[i].tail, baseline[i].tail)
-            << "lip " << i << " chunk " << chunk << " dp " << decode_priority;
-        EXPECT_EQ(got[i].kv_len, baseline[i].kv_len)
-            << "lip " << i << " chunk " << chunk << " dp " << decode_priority;
-      }
-      if (chunk < 80) {
-        // Every prefill is larger than the chunk, so splits must happen
-        // (and each split contributes at least two chunk launches).
-        EXPECT_GT(stats.prefills_chunked, 0u) << "chunk " << chunk;
-        EXPECT_GT(stats.prefill_chunks, stats.prefills_chunked)
-            << "chunk " << chunk;
-      } else {
-        EXPECT_EQ(stats.prefills_chunked, 0u) << "chunk " << chunk;
-      }
-      // Occupancy accounting covers both request classes in this mix.
-      EXPECT_GT(stats.decode_tokens_batched, 0u);
-      EXPECT_GT(stats.prefill_tokens_batched, 0u);
+    InferenceSchedulerStats stats;
+    std::vector<LipObservation> got = RunChunkedWorkload(seed, chunk, &stats);
+    ASSERT_EQ(got.size(), baseline.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].dist_states, baseline[i].dist_states)
+          << "lip " << i << " chunk " << chunk;
+      EXPECT_EQ(got[i].tail, baseline[i].tail) << "lip " << i << " chunk " << chunk;
+      EXPECT_EQ(got[i].kv_len, baseline[i].kv_len)
+          << "lip " << i << " chunk " << chunk;
     }
+    if (chunk < 80) {
+      // Every prefill is larger than the chunk, so splits must happen
+      // (and each split contributes at least two chunk launches).
+      EXPECT_GT(stats.prefills_chunked, 0u) << "chunk " << chunk;
+      EXPECT_GT(stats.prefill_chunks, stats.prefills_chunked)
+          << "chunk " << chunk;
+    } else {
+      EXPECT_EQ(stats.prefills_chunked, 0u) << "chunk " << chunk;
+    }
+    // Occupancy accounting covers both request classes in this mix.
+    EXPECT_GT(stats.decode_tokens_batched, 0u);
+    EXPECT_GT(stats.prefill_tokens_batched, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChunkInvarianceTest,
                          ::testing::ValuesIn(ChunkSeeds({11, 29, 47}, 0xC0)));
+
+// ---------------------------------------------------------------------------
+// The batch pick order is one sort key; it must visit requests exactly as the
+// greedy rescan it replaced would.
+// ---------------------------------------------------------------------------
+
+// Reference: the greedy pick rule, run to exhaustion without caps or
+// drop-outs. Each step rescans the queue for the oldest unpicked request —
+// under fair share, the oldest among the LIPs with the fewest picks so far —
+// offering only decode-sized requests until none is left when chunking (and
+// with it decode-first packing) is on.
+std::vector<size_t> GreedyPickOrder(const std::deque<PredRequest>& queue,
+                                    const InferenceSchedulerOptions& options) {
+  auto is_decode = [](const PredRequest& request) {
+    return request.chunk_done == 0 && request.tokens.size() <= 8;
+  };
+  std::unordered_map<LipId, uint32_t> taken;
+  std::vector<char> picked(queue.size(), 0);
+  std::vector<size_t> order;
+  bool decode_phase = options.prefill_chunk_tokens > 0;
+  while (order.size() < queue.size()) {
+    size_t best = queue.size();
+    uint32_t best_count = UINT32_MAX;
+    for (size_t i = 0; i < queue.size(); ++i) {
+      if (picked[i] != 0 || (decode_phase && !is_decode(queue[i]))) {
+        continue;
+      }
+      if (options.discipline == QueueDiscipline::kFifo) {
+        best = i;
+        break;
+      }
+      uint32_t count = taken[queue[i].lip];
+      if (count < best_count) {
+        best = i;
+        best_count = count;
+      }
+    }
+    if (best == queue.size()) {
+      decode_phase = false;  // Decodes exhausted; the prefills follow.
+      continue;
+    }
+    picked[best] = 1;
+    ++taken[queue[best].lip];
+    order.push_back(best);
+  }
+  return order;
+}
+
+class PickOrderTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PickOrderTest, SortedOrderMatchesGreedyRescan) {
+  Rng rng(GetParam());
+  size_t fair_reorders = 0;   // Fair share departed from arrival order.
+  size_t decode_reorders = 0;  // Decode-first departed from arrival order.
+  for (int trial = 0; trial < 300; ++trial) {
+    std::deque<PredRequest> queue(rng.NextBounded(40));
+    uint64_t lips = 1 + rng.NextBounded(6);
+    for (PredRequest& request : queue) {
+      request.lip = static_cast<LipId>(2 + rng.NextBounded(lips));
+      uint64_t kind = rng.NextBounded(3);
+      // A decode, a fresh prefill, or a split continuation whose tail may
+      // be decode-sized but still counts as prefill.
+      size_t tokens = kind == 0   ? 1 + rng.NextBounded(8)
+                      : kind == 1 ? 9 + rng.NextBounded(600)
+                                  : 1 + rng.NextBounded(64);
+      request.tokens.assign(tokens, 260);
+      request.chunk_done = kind == 2 ? 1 + rng.NextBounded(512) : 0;
+    }
+    std::vector<size_t> arrival(queue.size());
+    for (size_t i = 0; i < arrival.size(); ++i) {
+      arrival[i] = i;
+    }
+    for (QueueDiscipline discipline :
+         {QueueDiscipline::kFifo, QueueDiscipline::kFairShare}) {
+      for (uint64_t chunk : {uint64_t{0}, uint64_t{64}}) {
+        InferenceSchedulerOptions options;
+        options.discipline = discipline;
+        options.prefill_chunk_tokens = chunk;
+        std::vector<size_t> order = BatchPickOrder(queue, options);
+        ASSERT_EQ(order, GreedyPickOrder(queue, options))
+            << "trial " << trial << " fair "
+            << (discipline == QueueDiscipline::kFairShare) << " chunk "
+            << chunk;
+        if (order != arrival) {
+          ++(chunk == 0 ? fair_reorders : decode_reorders);
+        }
+      }
+    }
+  }
+  // The queues exercise both reorderings, not only arrival order.
+  EXPECT_GT(fair_reorders, 0u);
+  EXPECT_GT(decode_reorders, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, PickOrderTest,
+                         ::testing::ValuesIn(ChunkSeeds({5, 17, 23}, 0xC1)));
 
 // ---------------------------------------------------------------------------
 // Chunking exists to bound decode tail latency: shrinking the chunk must
@@ -759,7 +851,6 @@ double DecodeP99ForChunk(uint64_t chunk) {
   Device device(&sim, CostModel(ModelConfig::Llama13B()));
   InferenceSchedulerOptions options;
   options.prefill_chunk_tokens = chunk;
-  options.decode_priority = true;
   InferenceScheduler scheduler(&sim, &kvfs, &model, &device,
                                std::make_unique<EagerPolicy>(), options);
   LipRuntime runtime(&sim, &kvfs);
